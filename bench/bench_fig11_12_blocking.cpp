@@ -74,6 +74,9 @@ void show(const char* title, const core::BlockingModel& model,
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* kUsage =
+      "bench_fig11_12_blocking [--sizes a,b,c|lo:hi:step] [--molecules N] "
+      "[--json path]";
   benchio::JsonOut jout(argc, argv, "bench_fig11_12_blocking");
 
   std::vector<double> sizes;
@@ -87,8 +90,8 @@ int main(int argc, char** argv) {
   }
 
   core::ExperimentSetup setup;
-  const std::string mol_flag = benchio::flag_value(argc, argv, "molecules");
-  if (!mol_flag.empty()) setup.n_molecules = std::stoi(mol_flag);
+  setup.n_molecules = benchio::molecules_or_exit(
+      argc, argv, "bench_fig11_12_blocking", setup.n_molecules, kUsage).front();
   const core::Problem problem = core::Problem::make(setup);
   const auto variable = core::run_variant(problem, core::Variant::kVariable);
 

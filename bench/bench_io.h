@@ -199,6 +199,31 @@ inline std::vector<int> int_list_flag_or_exit(int argc, char** argv,
   }
 }
 
+/// `--molecules`, the water-box size every simulating driver takes, or
+/// {fallback} when the flag is absent; with `list` the flag may name
+/// several sizes (`N,M,...`, parse_int_list syntax). Every driver reads it
+/// here, so a malformed value or a count below 1 -- an empty box that
+/// "simulates" in 0 cycles -- exits 2 through usage_error everywhere.
+inline std::vector<int> molecules_or_exit(int argc, char** argv,
+                                          const char* tool, int fallback,
+                                          const char* usage,
+                                          bool list = false) {
+  const std::vector<int> counts =
+      list ? int_list_flag_or_exit(argc, argv, tool, "molecules", {fallback},
+                                   usage)
+           : std::vector<int>{int_flag_or_exit(argc, argv, tool, "molecules",
+                                               fallback, usage)};
+  for (const int n : counts) {
+    if (n < 1) {
+      usage_error(tool,
+                  "--molecules: need at least 1 molecule, got " +
+                      std::to_string(n),
+                  usage);
+    }
+  }
+  return counts;
+}
+
 class JsonOut {
  public:
   JsonOut(int argc, char** argv, std::string bench_name)

@@ -74,6 +74,10 @@ void sweep(const char* title, const net::ScalingModel& model,
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* kUsage =
+      "bench_scaling_multinode [--nodes a,b,c|lo:hi:step] [--molecules N] "
+      "[--large-molecules N] [--trace path] [--engine stepped|event|lockstep] "
+      "[--kernel-backend interp|vm|lockstep] [--json path]";
   benchio::JsonOut jout(argc, argv, "bench_scaling_multinode");
 
   std::vector<std::int64_t> nodes = {1, 2, 4, 8, 16, 32, 64};
@@ -89,8 +93,8 @@ int main(int argc, char** argv) {
   }
 
   core::ExperimentSetup setup;
-  const std::string mol_flag = benchio::flag_value(argc, argv, "molecules");
-  if (!mol_flag.empty()) setup.n_molecules = std::stoi(mol_flag);
+  setup.n_molecules = benchio::molecules_or_exit(
+      argc, argv, "bench_scaling_multinode", setup.n_molecules, kUsage).front();
   const core::Problem problem = core::Problem::make(setup);
   sim::MachineConfig node_cfg = sim::MachineConfig::merrimac();
   node_cfg.engine = sim::parse_engine(benchio::engine_flag(argc, argv));

@@ -286,8 +286,9 @@ int main(int argc, char** argv) {
 
   const int n_requests = benchio::int_flag_or_exit(
       argc, argv, "bench_svc_load", "requests", 1000, kUsage);
-  const int n_molecules = benchio::int_flag_or_exit(
-      argc, argv, "bench_svc_load", "molecules", 32, kUsage);
+  const int n_molecules =
+      benchio::molecules_or_exit(argc, argv, "bench_svc_load", 32, kUsage)
+          .front();
   const std::vector<int> workers = benchio::int_list_flag_or_exit(
       argc, argv, "bench_svc_load", "workers", {1, 4}, kUsage);
   const std::vector<int> dup_pcts = benchio::int_list_flag_or_exit(

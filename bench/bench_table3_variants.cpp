@@ -25,10 +25,19 @@
 #include "src/sim/config.h"
 
 int main(int argc, char** argv) {
+  static const char* kUsage =
+      "bench_table3_variants [--molecules N[,N...]] "
+      "[--engine stepped|event|lockstep] "
+      "[--kernel-backend interp|vm|lockstep] [--json path]";
   smd::benchio::JsonOut jout(argc, argv, "bench_table3_variants");
-  // Parse (and so validate) the engine/backend flags up front: a bad
-  // value must exit 2 even when --molecules is absent and no simulation
-  // would consume it.
+  // Parse (and so validate) every flag up front: a bad value must exit 2
+  // before any work, and an engine/backend value even when --molecules is
+  // absent and no simulation would consume it.
+  const std::vector<int> counts =
+      smd::benchio::flag_value(argc, argv, "molecules").empty()
+          ? std::vector<int>{}
+          : smd::benchio::molecules_or_exit(argc, argv, "bench_table3_variants",
+                                            0, kUsage, /*list=*/true);
   const smd::sim::SimEngine engine =
       smd::sim::parse_engine(smd::benchio::engine_flag(argc, argv));
   const smd::kernel::KernelBackend kernel_backend =
@@ -88,15 +97,7 @@ int main(int argc, char** argv) {
   }
   jout.root().set("variants", std::move(variants));
 
-  const std::string mols = smd::benchio::flag_value(argc, argv, "molecules");
-  if (!mols.empty()) {
-    std::vector<int> counts;
-    try {
-      counts = smd::benchio::parse_int_list(mols);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--molecules: %s\n", e.what());
-      return 2;
-    }
+  if (!counts.empty()) {
     smd::obs::Json sims = smd::obs::Json::array();
     for (const int n : counts) {
       smd::core::ExperimentSetup setup;

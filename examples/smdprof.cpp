@@ -340,8 +340,8 @@ int main(int argc, char** argv) {
       return rep.ok() ? 0 : 1;
     }
 
-    const int n_molecules = benchio::int_flag_or_exit(
-        argc, argv, "smdprof", "molecules", 900, kUsage);
+    const int n_molecules =
+        benchio::molecules_or_exit(argc, argv, "smdprof", 900, kUsage).front();
 
     const std::string record =
         benchio::flag_value(argc, argv, "record-baseline");

@@ -27,8 +27,10 @@
 // --requests parses a wire-format batch (svc/wire.h: either
 // {"schema_version":1,"requests":[...]} or a bare array; "-" reads
 // stdin), submits every request, waits for the server to drain, and
-// prints one row per response plus the telemetry counters. Exit status is
-// 0 iff every request completed ok.
+// prints one row per response plus the telemetry counters. An element
+// that does not parse (an unknown variant, a typo'd field) is answered
+// with its own bad_request row; the rest of the batch still runs. Exit
+// status is 0 iff every request completed ok.
 //
 // --demo is a golden self-check of the DESIGN.md section 13 determinism
 // invariant, sized to run in CI:
@@ -261,7 +263,7 @@ int run_requests(const std::string& path, svc::ServerOptions opts,
   } else {
     doc = obs::load_file(path);
   }
-  const std::vector<svc::Request> requests = svc::parse_request_file(doc);
+  const std::vector<svc::BatchEntry> requests = svc::parse_request_file(doc);
   std::printf("smdserve: %zu requests, %d workers, queue cap %zu%s\n\n",
               requests.size(), opts.workers, opts.queue_cap,
               opts.cache_path.empty()
@@ -273,8 +275,10 @@ int run_requests(const std::string& path, svc::ServerOptions opts,
   tele.start(&server);
   std::vector<svc::JobHandle> handles;
   handles.reserve(requests.size());
-  for (const svc::Request& req : requests) {
-    handles.push_back(server.submit(req));
+  for (const svc::BatchEntry& e : requests) {
+    handles.push_back(e.error.empty()
+                          ? server.submit(e.request)
+                          : server.reject_malformed(e.request.id, e.error));
   }
   server.drain();
 
@@ -483,8 +487,9 @@ int main(int argc, char** argv) {
       return run_requests(requests, opts, tele, jout);
     }
     if (has_flag(argc, argv, "--demo")) {
-      const int n_molecules = benchio::int_flag_or_exit(
-          argc, argv, "smdserve", "molecules", 64, kUsage);
+      const int n_molecules =
+          benchio::molecules_or_exit(argc, argv, "smdserve", 64, kUsage)
+              .front();
       return run_demo(n_molecules, opts, tele, jout);
     }
   } catch (const std::exception& e) {

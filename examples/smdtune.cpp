@@ -264,8 +264,8 @@ int main(int argc, char** argv) {
       kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
 
   core::ExperimentSetup setup;
-  setup.n_molecules = benchio::int_flag_or_exit(argc, argv, "smdtune",
-                                                "molecules", 900, kUsage);
+  setup.n_molecules =
+      benchio::molecules_or_exit(argc, argv, "smdtune", 900, kUsage).front();
   const core::Problem problem = core::Problem::make(setup);
 
   const std::string spec = benchio::flag_value(argc, argv, "sweep");

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_io.h"
 #include "src/core/report.h"
 #include "src/core/run.h"
 #include "src/obs/trace_event.h"
@@ -31,14 +32,12 @@ using namespace smd;
 
 namespace {
 
-void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--variant NAME] [--molecules N] [--cutoff RC]\n"
-               "          [--seed S] [--list-length L] [--clusters C]\n"
-               "          [--sdr-conservative] [--unroll U] [--timeline]\n"
-               "          [--json PATH] [--trace PATH]\n",
-               argv0);
-}
+constexpr const char* kUsage =
+    "streammd_cli [--variant NAME] [--molecules N] [--cutoff RC] [--seed S] "
+    "[--list-length L] [--clusters C] [--sdr-conservative] [--unroll U] "
+    "[--timeline] [--json PATH] [--trace PATH]";
+
+void usage() { std::fprintf(stderr, "usage: %s\n", kUsage); }
 
 }  // namespace
 
@@ -54,7 +53,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        usage(argv[0]);
+        usage();
         std::exit(2);
       }
       return argv[++i];
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
     if (arg == "--variant") {
       variant = next();
     } else if (arg == "--molecules") {
-      setup.n_molecules = std::atoi(next());
+      next();  // read below by benchio::molecules_or_exit
     } else if (arg == "--cutoff") {
       setup.cutoff = std::atof(next());
     } else if (arg == "--seed") {
@@ -82,14 +81,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
+      usage();
       return 0;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(argv[0]);
+      usage();
       return 2;
     }
   }
+  setup.n_molecules = benchio::molecules_or_exit(
+      argc, argv, "streammd_cli", setup.n_molecules, kUsage).front();
   if (setup.n_molecules < 2 || setup.cutoff <= 0.0 ||
       setup.fixed_list_length < 1 || cfg.n_clusters < 1) {
     std::fprintf(stderr, "invalid parameter values\n");

@@ -15,9 +15,10 @@
 # sweep (bit-identity of optimized kernels, DESIGN.md section 12) and
 # `smdtune --paper --jobs 4` (the parallel design-space search
 # reproducing the paper's tuned points — see EXPERIMENTS.md
-# "Design-space exploration"). clang-tidy, when available, gates
-# src/analysis and src/kernel (warnings as errors; escape hatch
-# SMD_TIDY_NO_GATE=1) and advises on the rest of src/.
+# "Design-space exploration"); the default preset also builds hostbench/
+# and runs each of its workloads for one second. clang-tidy, when
+# available, gates src/analysis and src/kernel (warnings as errors;
+# escape hatch SMD_TIDY_NO_GATE=1) and advises on the rest of src/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,11 +53,11 @@ for preset in "${presets[@]}"; do
   fi
   # Kernel-backend equivalence gate (DESIGN.md section 17): the compiled
   # threaded-code VM must stay bit-identical to the reference interpreter
-  # -- word-by-word outputs and field-by-field InterpStats over every
-  # built-in kernel, the Table-3 variants under both SDR policies in
-  # lockstep, and randomized programs with conditional/broadcast
-  # transfers. Runs under EVERY preset: tsan included, because the VM's
-  # executor cache sits on the multi-threaded tune/svc paths.
+  # -- output words by bit pattern and every to_json(InterpStats) field
+  # over every built-in kernel, the Table-3 variants under both SDR
+  # policies in lockstep, and randomized programs with conditional/
+  # broadcast transfers. Runs under EVERY preset: tsan included, because
+  # the VM's executor cache sits on the multi-threaded tune/svc paths.
   echo "==== kernel VM equivalence sweep (${preset}) ===="
   ctest --preset "${preset}" -R vm_equivalence_test --output-on-failure
   echo "==== smdcheck --all (${preset}) ===="
@@ -100,7 +101,7 @@ print(f"telemetry artifacts parse back: {len(doc['traceEvents'])} trace "
       f"events, {len(lines)} event-log lines")
 PYEOF
   fi
-  # Observability + service suites (DESIGN.md sections 14-15): histogram
+  # Observability + service suites (DESIGN.md section 15): histogram
   # quantile bound, span partition property, event-log torn-line
   # tolerance, exporter cadence. Under every preset -- tsan is the
   # data-race gate for the svc pool, the histograms and the span log.
@@ -130,6 +131,20 @@ PYEOF
     else
       echo "==== smdprof --record-baseline (first run) ===="
       "${build_dir[${preset}]}/examples/smdprof" --record-baseline BENCH_baseline.json
+    fi
+    # Host-time benchmark smoke (hostbench/README.md, gated by
+    # BENCHMARK.json): hostbench is its own CMake package over src/ and
+    # calls sim::KernelCostCache, tune::Runner and svc::Server directly, so
+    # a src/ change that breaks its build or its correctness checks fails
+    # here rather than in the post-merge benchmark run. One second per
+    # workload; run.py builds into $CARGO_TARGET_DIR/hostbench (default
+    # .bench_build/hostbench).
+    if command -v python3 >/dev/null 2>&1; then
+      for workload in variants-1800 svc-mixed-32 tune-sweep-256; do
+        echo "==== hostbench ${workload} (${preset}) ===="
+        python3 hostbench/run.py --workload "${workload}" --seed 1 \
+          --seconds 1 --trace 0
+      done
     fi
   fi
 done

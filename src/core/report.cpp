@@ -177,103 +177,6 @@ obs::Json to_json(const sim::MachineConfig& cfg) {
   return j;
 }
 
-obs::Json to_json(const kernel::FlopCensus& c) {
-  obs::Json j = obs::Json::object();
-  j.set("flops", c.flops)
-      .set("divides", c.divides)
-      .set("square_roots", c.square_roots)
-      .set("fpu_ops", c.fpu_ops)
-      .set("words_read", c.words_read)
-      .set("words_written", c.words_written);
-  return j;
-}
-
-obs::Json to_json(const kernel::InterpStats& s) {
-  obs::Json j = obs::Json::object();
-  j.set("executed", to_json(s.executed))
-      .set("lrf_refs", s.lrf_refs)
-      .set("srf_read_words", s.srf_read_words)
-      .set("srf_write_words", s.srf_write_words)
-      .set("cond_accesses", s.cond_accesses)
-      .set("cond_taken", s.cond_taken)
-      .set("body_iterations", s.body_iterations);
-  return j;
-}
-
-obs::Json to_json(const mem::MemSystemStats& s) {
-  obs::Json j = obs::Json::object();
-  j.set("ops", s.ops)
-      .set("words_loaded", s.words_loaded)
-      .set("words_stored", s.words_stored)
-      .set("addr_generated", s.addr_generated)
-      .set("busy_cycles", s.busy_cycles);
-  return j;
-}
-
-obs::Json to_json(const mem::CacheStats& s) {
-  obs::Json j = obs::Json::object();
-  j.set("accesses", s.accesses)
-      .set("hits", s.hits)
-      .set("misses", s.misses)
-      .set("secondary_misses", s.secondary_misses)
-      .set("dirty_evictions", s.dirty_evictions)
-      .set("hit_rate", s.hit_rate());
-  return j;
-}
-
-obs::Json to_json(const mem::DramStats& s) {
-  obs::Json j = obs::Json::object();
-  j.set("read_lines", s.read_lines)
-      .set("read_words", s.read_words)
-      .set("write_words", s.write_words)
-      .set("row_misses", s.row_misses)
-      .set("busy_cycles", s.busy_cycles);
-  return j;
-}
-
-obs::Json to_json(const mem::ScatterAddStats& s) {
-  obs::Json j = obs::Json::object();
-  j.set("requests", s.requests)
-      .set("combined", s.combined)
-      .set("issued", s.issued)
-      .set("stalled", s.stalled);
-  return j;
-}
-
-obs::Json to_json(const sim::RunStats& s) {
-  obs::Json timeline = obs::Json::object();
-  timeline.set("n_intervals",
-               static_cast<std::int64_t>(s.timeline.intervals().size()))
-      .set("kernel_busy_cycles", s.timeline.busy_cycles(sim::Lane::kKernel, s.cycles))
-      .set("mem_busy_cycles", s.timeline.busy_cycles(sim::Lane::kMemory, s.cycles))
-      .set("overlap_cycles", s.timeline.overlap_cycles(s.cycles));
-  obs::Json j = obs::Json::object();
-  j.set("cycles", s.cycles)
-      .set("kernel_busy_cycles", s.kernel_busy_cycles)
-      .set("mem_busy_cycles", s.mem_busy_cycles)
-      .set("overlap_cycles", s.overlap_cycles)
-      .set("kernel_occupancy",
-           s.cycles ? static_cast<double>(s.kernel_busy_cycles) /
-                          static_cast<double>(s.cycles)
-                    : 0.0)
-      .set("mem_hidden_fraction",
-           s.mem_busy_cycles ? static_cast<double>(s.overlap_cycles) /
-                                   static_cast<double>(s.mem_busy_cycles)
-                             : 0.0)
-      .set("mem_words", s.mem_words)
-      .set("srf_peak_words", s.srf_peak_words)
-      .set("n_kernel_launches", s.n_kernel_launches)
-      .set("n_memory_ops", s.n_memory_ops)
-      .set("sdr_stall_cycles", s.sdr_stall_cycles)
-      .set("interp", to_json(s.interp))
-      .set("mem", to_json(s.mem_stats))
-      .set("cache", to_json(s.cache_stats))
-      .set("dram", to_json(s.dram_stats))
-      .set("scatter_add", to_json(s.scatter_add_stats))
-      .set("timeline", std::move(timeline));
-  return j;
-}
-
 obs::Json to_json(const VariantResult& r) {
   obs::Json locality = obs::Json::object();
   locality.set("lrf", r.lrf_fraction)

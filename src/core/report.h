@@ -43,19 +43,14 @@ std::string format_blocking_table(const std::vector<BlockingPoint>& pts,
 
 // ---- Machine-readable reporting. ----------------------------------------
 //
-// Every stats struct the simulator produces serializes through one of
-// these, so bench records, the CLI's --json output, and the tests all
-// agree on field names. Integers stay integers; derived fractions are
-// emitted alongside the raw counts they come from.
+// Every stats struct the simulator produces serializes through a to_json
+// declared next to the struct (kernel::InterpStats, the mem::*Stats,
+// sim::RunStats), so bench records, the CLI's --json output, the tests
+// and the bit-identity gates all agree on field names. Integers stay
+// integers; derived fractions are emitted alongside the raw counts they
+// come from.
 
 obs::Json to_json(const sim::MachineConfig& cfg);
-obs::Json to_json(const kernel::FlopCensus& c);
-obs::Json to_json(const kernel::InterpStats& s);
-obs::Json to_json(const mem::MemSystemStats& s);
-obs::Json to_json(const mem::CacheStats& s);
-obs::Json to_json(const mem::DramStats& s);
-obs::Json to_json(const mem::ScatterAddStats& s);
-obs::Json to_json(const sim::RunStats& s);
 obs::Json to_json(const VariantResult& r);
 obs::Json to_json(const BlockingPoint& p);
 

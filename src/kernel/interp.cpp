@@ -19,6 +19,18 @@ InterpStats& InterpStats::operator+=(const InterpStats& o) {
   return *this;
 }
 
+obs::Json to_json(const InterpStats& s) {
+  obs::Json j = obs::Json::object();
+  j.set("executed", to_json(s.executed))
+      .set("lrf_refs", s.lrf_refs)
+      .set("srf_read_words", s.srf_read_words)
+      .set("srf_write_words", s.srf_write_words)
+      .set("cond_accesses", s.cond_accesses)
+      .set("cond_taken", s.cond_taken)
+      .set("body_iterations", s.body_iterations);
+  return j;
+}
+
 namespace {
 
 /// Runtime backstop behind the static pre-flight: report through the

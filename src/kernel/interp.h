@@ -31,6 +31,9 @@ struct InterpStats {
   InterpStats& operator+=(const InterpStats& o);
 };
 
+/// Every field, for bench records and the bit-identity gates.
+obs::Json to_json(const InterpStats& s);
+
 /// Input/output buffers bound to the kernel's stream slots, in declaration
 /// order. Input spans must outlive the run; outputs are appended to.
 struct StreamBindings {

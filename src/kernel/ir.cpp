@@ -38,6 +38,17 @@ FlopCensus& FlopCensus::operator+=(const FlopCensus& o) {
   return *this;
 }
 
+obs::Json to_json(const FlopCensus& c) {
+  obs::Json j = obs::Json::object();
+  j.set("flops", c.flops)
+      .set("divides", c.divides)
+      .set("square_roots", c.square_roots)
+      .set("fpu_ops", c.fpu_ops)
+      .set("words_read", c.words_read)
+      .set("words_written", c.words_written);
+  return j;
+}
+
 FlopCensus instr_census(const Instr& in) {
   FlopCensus c;
   switch (in.op) {

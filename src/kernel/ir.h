@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/json.h"
+
 namespace smd::kernel {
 
 enum class Opcode : std::uint8_t {
@@ -93,6 +95,9 @@ struct FlopCensus {
 
   FlopCensus& operator+=(const FlopCensus& o);
 };
+
+/// Every field, for bench records and the bit-identity gates.
+obs::Json to_json(const FlopCensus& c);
 
 /// A complete kernel definition.
 struct KernelDef {

@@ -33,7 +33,8 @@
 // machine-checked: the lockstep equivalence sweep (tests/
 // opt_equivalence_test.cpp, wired into scripts/check.sh) runs every
 // built-in kernel x Table-3 variant x both SDR policies through the
-// simulator comparing RunStats field-by-field and memory word-by-word.
+// simulator comparing runs with sim::diff_run_stats and memory images
+// bit for bit (mem::diff_memory).
 //
 // The optimizer is OFF by default everywhere: nothing in the simulation
 // path rewrites a kernel unless a caller explicitly invokes it.

@@ -63,48 +63,7 @@ KernelBackend parse_kernel_backend(const std::string& name) {
 }
 
 std::string diff_interp_stats(const InterpStats& a, const InterpStats& b) {
-  const auto diff = [](const char* field, std::int64_t x, std::int64_t y) {
-    return std::string(field) + " interp=" + std::to_string(x) +
-           " vm=" + std::to_string(y);
-  };
-  if (a.executed.flops != b.executed.flops) {
-    return diff("executed.flops", a.executed.flops, b.executed.flops);
-  }
-  if (a.executed.divides != b.executed.divides) {
-    return diff("executed.divides", a.executed.divides, b.executed.divides);
-  }
-  if (a.executed.square_roots != b.executed.square_roots) {
-    return diff("executed.square_roots", a.executed.square_roots,
-                b.executed.square_roots);
-  }
-  if (a.executed.fpu_ops != b.executed.fpu_ops) {
-    return diff("executed.fpu_ops", a.executed.fpu_ops, b.executed.fpu_ops);
-  }
-  if (a.executed.words_read != b.executed.words_read) {
-    return diff("executed.words_read", a.executed.words_read,
-                b.executed.words_read);
-  }
-  if (a.executed.words_written != b.executed.words_written) {
-    return diff("executed.words_written", a.executed.words_written,
-                b.executed.words_written);
-  }
-  if (a.lrf_refs != b.lrf_refs) return diff("lrf_refs", a.lrf_refs, b.lrf_refs);
-  if (a.srf_read_words != b.srf_read_words) {
-    return diff("srf_read_words", a.srf_read_words, b.srf_read_words);
-  }
-  if (a.srf_write_words != b.srf_write_words) {
-    return diff("srf_write_words", a.srf_write_words, b.srf_write_words);
-  }
-  if (a.cond_accesses != b.cond_accesses) {
-    return diff("cond_accesses", a.cond_accesses, b.cond_accesses);
-  }
-  if (a.cond_taken != b.cond_taken) {
-    return diff("cond_taken", a.cond_taken, b.cond_taken);
-  }
-  if (a.body_iterations != b.body_iterations) {
-    return diff("body_iterations", a.body_iterations, b.body_iterations);
-  }
-  return "";
+  return obs::diff(to_json(a), to_json(b));
 }
 
 // ---------------------------------------------------------------------------

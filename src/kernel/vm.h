@@ -22,7 +22,7 @@
 // The gate for all of this is bit-identity with the interpreter
 // (DESIGN.md section 17, the same discipline section 10 applies to the
 // simulation engines): identical output words by bit pattern, identical
-// InterpStats field by field, identical error behavior. KernelBackend
+// to_json(InterpStats), identical error behavior. KernelBackend
 // selects the backend everywhere a kernel executes
 // (sim::MachineConfig::kernel_backend, the --kernel-backend flag);
 // kLockstep runs both and throws on any divergence.
@@ -51,8 +51,8 @@ const char* kernel_backend_name(KernelBackend b);
 /// Parse "interp" | "vm" | "lockstep" (throws std::invalid_argument).
 KernelBackend parse_kernel_backend(const std::string& name);
 
-/// Field-by-field InterpStats comparison: "" when identical, else a
-/// "<field> interp=<a> vm=<b>" description of the first mismatch.
+/// obs::diff over to_json(InterpStats): "" when every field matches, else
+/// the first mismatching paths as "<path>: <a> vs <b>".
 std::string diff_interp_stats(const InterpStats& a, const InterpStats& b);
 
 /// A KernelDef lowered to flat bytecode. Construction verifies the kernel

@@ -4,6 +4,17 @@
 
 namespace smd::mem {
 
+obs::Json to_json(const CacheStats& s) {
+  obs::Json j = obs::Json::object();
+  j.set("accesses", s.accesses)
+      .set("hits", s.hits)
+      .set("misses", s.misses)
+      .set("secondary_misses", s.secondary_misses)
+      .set("dirty_evictions", s.dirty_evictions)
+      .set("hit_rate", s.hit_rate());
+  return j;
+}
+
 CacheTags::CacheTags(const CacheConfig& cfg) : cfg_(cfg) {
   const std::int64_t lines = cfg_.total_words / cfg_.line_words;
   n_sets_ = lines / cfg_.associativity;

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/obs/json.h"
+
 namespace smd::mem {
 
 struct CacheConfig {
@@ -33,6 +35,9 @@ struct CacheStats {
     return accesses ? static_cast<double>(hits) / static_cast<double>(accesses) : 0.0;
   }
 };
+
+/// Every field plus hit_rate, for bench records and the bit-identity gates.
+obs::Json to_json(const CacheStats& s);
 
 /// Result of a tag probe.
 enum class CacheOutcome { kHit, kMiss };

@@ -2,6 +2,16 @@
 
 namespace smd::mem {
 
+obs::Json to_json(const DramStats& s) {
+  obs::Json j = obs::Json::object();
+  j.set("read_lines", s.read_lines)
+      .set("read_words", s.read_words)
+      .set("write_words", s.write_words)
+      .set("row_misses", s.row_misses)
+      .set("busy_cycles", s.busy_cycles);
+  return j;
+}
+
 Dram::Dram(const DramConfig& cfg, int line_words)
     : cfg_(cfg), line_words_(line_words),
       channels_(static_cast<std::size_t>(cfg.n_channels)) {}

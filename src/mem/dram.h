@@ -14,6 +14,8 @@
 #include <queue>
 #include <vector>
 
+#include "src/obs/json.h"
+
 namespace smd::mem {
 
 struct DramConfig {
@@ -35,6 +37,9 @@ struct DramStats {
   std::int64_t row_misses = 0;
   std::int64_t busy_cycles = 0;  ///< cycles where any channel transferred
 };
+
+/// Every field, for bench records and the bit-identity gates.
+obs::Json to_json(const DramStats& s);
 
 /// Cycle-driven DRAM model. Reads are requested at line granularity and
 /// complete asynchronously; writes are posted at word granularity.

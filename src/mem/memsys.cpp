@@ -1,5 +1,7 @@
 #include "src/mem/memsys.h"
 
+#include <bit>
+#include <cstdio>
 #include <stdexcept>
 
 #include "src/obs/registry.h"
@@ -29,6 +31,39 @@ std::vector<double> GlobalMemory::read_block(std::uint64_t addr, std::int64_t n)
   }
   return {words_.begin() + static_cast<std::ptrdiff_t>(addr),
           words_.begin() + static_cast<std::ptrdiff_t>(addr) + n};
+}
+
+std::string diff_memory(const GlobalMemory& a, const GlobalMemory& b) {
+  if (a.size() != b.size()) {
+    return "memory size: " + std::to_string(a.size()) + " vs " +
+           std::to_string(b.size());
+  }
+  const auto word = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g (0x%016llx)", v,
+                  static_cast<unsigned long long>(
+                      std::bit_cast<std::uint64_t>(v)));
+    return std::string(buf);
+  };
+  for (std::uint64_t w = 0; w < static_cast<std::uint64_t>(a.size()); ++w) {
+    const double va = a.read(w);
+    const double vb = b.read(w);
+    if (std::bit_cast<std::uint64_t>(va) != std::bit_cast<std::uint64_t>(vb)) {
+      return "memory word " + std::to_string(w) + ": " + word(va) + " vs " +
+             word(vb);
+    }
+  }
+  return "";
+}
+
+obs::Json to_json(const MemSystemStats& s) {
+  obs::Json j = obs::Json::object();
+  j.set("ops", s.ops)
+      .set("words_loaded", s.words_loaded)
+      .set("words_stored", s.words_stored)
+      .set("addr_generated", s.addr_generated)
+      .set("busy_cycles", s.busy_cycles);
+  return j;
 }
 
 MemSystem::MemSystem(const MemSystemConfig& cfg, GlobalMemory* mem)

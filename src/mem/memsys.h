@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "src/mem/cache.h"
 #include "src/mem/dram.h"
 #include "src/mem/scatteradd.h"
+#include "src/obs/json.h"
 
 namespace smd::mem {
 
@@ -57,6 +59,12 @@ class GlobalMemory {
   std::vector<double> words_;
 };
 
+/// Bitwise memory-image comparison, the memory half of every bit-identity
+/// gate: "" when both images hold the same words with the same bit
+/// patterns (so 0.0 and -0.0 differ), else the size mismatch or the first
+/// differing word, as "memory word <w>: <a> (0x<bits>) vs <b> (0x<bits>)".
+std::string diff_memory(const GlobalMemory& a, const GlobalMemory& b);
+
 struct MemSystemStats {
   std::int64_t ops = 0;
   std::int64_t words_loaded = 0;     ///< SRF <- memory words
@@ -64,6 +72,9 @@ struct MemSystemStats {
   std::int64_t addr_generated = 0;
   std::int64_t busy_cycles = 0;      ///< cycles with at least one active op
 };
+
+/// Every field, for bench records and the bit-identity gates.
+obs::Json to_json(const MemSystemStats& s);
 
 /// Cycle-driven stream memory system.
 class MemSystem {

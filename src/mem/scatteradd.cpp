@@ -2,6 +2,15 @@
 
 namespace smd::mem {
 
+obs::Json to_json(const ScatterAddStats& s) {
+  obs::Json j = obs::Json::object();
+  j.set("requests", s.requests)
+      .set("combined", s.combined)
+      .set("issued", s.issued)
+      .set("stalled", s.stalled);
+  return j;
+}
+
 bool CombiningStore::try_merge(std::uint64_t word_addr, std::uint64_t now) {
   auto it = entries_.find(word_addr);
   if (it == entries_.end()) return false;

@@ -16,6 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/obs/json.h"
+
 namespace smd::mem {
 
 struct ScatterAddConfig {
@@ -30,6 +32,9 @@ struct ScatterAddStats {
   std::int64_t issued = 0;    ///< additions that used a bank cycle
   std::int64_t stalled = 0;   ///< retries because all entries were busy
 };
+
+/// Every field, for bench records and the bit-identity gates.
+obs::Json to_json(const ScatterAddStats& s);
 
 /// Combining store for one cache bank.
 class CombiningStore {

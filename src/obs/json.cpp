@@ -1,5 +1,6 @@
 #include "src/obs/json.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -235,6 +236,79 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
+/// One side of a mismatch: scalars as JSON text, containers by shape.
+std::string brief(const Json& j) {
+  if (j.is_array()) return "array[" + std::to_string(j.size()) + "]";
+  if (j.is_object()) return "object{" + std::to_string(j.size()) + "}";
+  return j.dump();
+}
+
+bool same_scalar(const Json& a, const Json& b) {
+  switch (a.type()) {
+    case Json::Type::kBool: return a.as_bool() == b.as_bool();
+    case Json::Type::kNumber:
+      return std::bit_cast<std::uint64_t>(a.as_double()) ==
+             std::bit_cast<std::uint64_t>(b.as_double());
+    case Json::Type::kString: return a.as_string() == b.as_string();
+    default: return true;  // null
+  }
+}
+
+/// Walks both trees in a's key order, counting every mismatch and
+/// describing the first kMaxReported; the first ones are the informative
+/// ones.
+class Differ {
+ public:
+
+  void walk(const Json& a, const Json& b, const std::string& path) {
+    if (a.type() != b.type()) return mismatch(path, brief(a), brief(b));
+    if (a.is_array()) {
+      if (a.size() != b.size()) {
+        mismatch(path, "length " + std::to_string(a.size()),
+                 std::to_string(b.size()));
+      }
+      for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+        walk(a.at(i), b.at(i), path + "[" + std::to_string(i) + "]");
+      }
+    } else if (a.is_object()) {
+      const auto member = [&](const std::string& key) {
+        return path.empty() ? key : path + "." + key;
+      };
+      for (const auto& [key, va] : a.items()) {
+        const Json* vb = b.find(key);
+        if (vb == nullptr) {
+          mismatch(member(key), brief(va), "missing");
+        } else {
+          walk(va, *vb, member(key));
+        }
+      }
+      for (const auto& [key, vb] : b.items()) {
+        if (!a.contains(key)) mismatch(member(key), "missing", brief(vb));
+      }
+    } else if (!same_scalar(a, b)) {
+      mismatch(path, brief(a), brief(b));
+    }
+  }
+
+  std::string result() const {
+    if (count_ <= kMaxReported) return out_;
+    return out_ + "; ... (" + std::to_string(count_ - kMaxReported) +
+           " more)";
+  }
+
+ private:
+  void mismatch(const std::string& path, const std::string& a,
+                const std::string& b) {
+    if (++count_ > kMaxReported) return;
+    if (!out_.empty()) out_ += "; ";
+    out_ += (path.empty() ? "<root>" : path) + ": " + a + " vs " + b;
+  }
+
+  static constexpr std::size_t kMaxReported = 12;
+  std::size_t count_ = 0;
+  std::string out_;
+};
+
 }  // namespace
 
 Json& Json::set(std::string_view key, Json v) {
@@ -373,6 +447,12 @@ std::string Json::dump(int indent) const {
 
 Json Json::parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+std::string diff(const Json& a, const Json& b) {
+  Differ d;
+  d.walk(a, b, "");
+  return d.result();
 }
 
 void write_file(const Json& j, const std::string& path) {

@@ -91,6 +91,16 @@ class Json {
   std::variant<std::monostate, bool, Number, std::string, Array, Object> value_;
 };
 
+/// Structural comparison, the one way the bit-identity gates diff two
+/// runs (DESIGN.md section 10): "" when `a` and `b` hold the same tree,
+/// else "<path>: <a> vs <b>" for each of the first 12 mismatching paths,
+/// "; "-separated, then "; ... (N more)" when more differ. Paths read
+/// like `cache.hits` and `timeline.intervals[3].label`. Objects compare
+/// by key (a key on one side only is "missing"), arrays by length and
+/// then element by element, numbers by bit pattern (so 0.0 and -0.0
+/// differ; integers are exact below 2^53).
+std::string diff(const Json& a, const Json& b);
+
 /// Write `j.dump(2)` plus a trailing newline to `path`; throws
 /// std::runtime_error if the file cannot be written.
 void write_file(const Json& j, const std::string& path);

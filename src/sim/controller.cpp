@@ -613,96 +613,54 @@ void record_run_counters(const RunStats& stats, std::int64_t srf_peak) {
 
 }  // namespace
 
+obs::Json to_json(const RunStats& s) {
+  obs::Json timeline = obs::Json::object();
+  timeline.set("n_intervals",
+               static_cast<std::int64_t>(s.timeline.intervals().size()))
+      .set("kernel_busy_cycles", s.timeline.busy_cycles(Lane::kKernel, s.cycles))
+      .set("mem_busy_cycles", s.timeline.busy_cycles(Lane::kMemory, s.cycles))
+      .set("overlap_cycles", s.timeline.overlap_cycles(s.cycles));
+  obs::Json j = obs::Json::object();
+  j.set("cycles", s.cycles)
+      .set("kernel_busy_cycles", s.kernel_busy_cycles)
+      .set("mem_busy_cycles", s.mem_busy_cycles)
+      .set("overlap_cycles", s.overlap_cycles)
+      .set("kernel_occupancy",
+           s.cycles ? static_cast<double>(s.kernel_busy_cycles) /
+                          static_cast<double>(s.cycles)
+                    : 0.0)
+      .set("mem_hidden_fraction",
+           s.mem_busy_cycles ? static_cast<double>(s.overlap_cycles) /
+                                   static_cast<double>(s.mem_busy_cycles)
+                             : 0.0)
+      .set("mem_words", s.mem_words)
+      .set("srf_peak_words", s.srf_peak_words)
+      .set("n_kernel_launches", s.n_kernel_launches)
+      .set("n_memory_ops", s.n_memory_ops)
+      .set("sdr_stall_cycles", s.sdr_stall_cycles)
+      .set("interp", to_json(s.interp))
+      .set("mem", to_json(s.mem_stats))
+      .set("cache", to_json(s.cache_stats))
+      .set("dram", to_json(s.dram_stats))
+      .set("scatter_add", to_json(s.scatter_add_stats))
+      .set("timeline", std::move(timeline));
+  return j;
+}
+
 std::string diff_run_stats(const RunStats& a, const RunStats& b) {
-  std::string diff;
-  int reported = 0;
-  auto field = [&](const char* name, auto va, auto vb) {
-    if (va == vb) return;
-    if (++reported > 12) return;  // first mismatches are the informative ones
-    diff += std::string(diff.empty() ? "" : "; ") + name + ": " +
-            std::to_string(va) + " vs " + std::to_string(vb);
-  };
-
-  field("cycles", a.cycles, b.cycles);
-  field("kernel_busy_cycles", a.kernel_busy_cycles, b.kernel_busy_cycles);
-  field("mem_busy_cycles", a.mem_busy_cycles, b.mem_busy_cycles);
-  field("overlap_cycles", a.overlap_cycles, b.overlap_cycles);
-  field("sdr_stall_cycles", a.sdr_stall_cycles, b.sdr_stall_cycles);
-  field("mem_words", a.mem_words, b.mem_words);
-  field("srf_peak_words", a.srf_peak_words, b.srf_peak_words);
-  field("n_kernel_launches", a.n_kernel_launches, b.n_kernel_launches);
-  field("n_memory_ops", a.n_memory_ops, b.n_memory_ops);
-
-  field("interp.flops", a.interp.executed.flops, b.interp.executed.flops);
-  field("interp.divides", a.interp.executed.divides, b.interp.executed.divides);
-  field("interp.square_roots", a.interp.executed.square_roots,
-        b.interp.executed.square_roots);
-  field("interp.fpu_ops", a.interp.executed.fpu_ops, b.interp.executed.fpu_ops);
-  field("interp.words_read", a.interp.executed.words_read,
-        b.interp.executed.words_read);
-  field("interp.words_written", a.interp.executed.words_written,
-        b.interp.executed.words_written);
-  field("interp.lrf_refs", a.interp.lrf_refs, b.interp.lrf_refs);
-  field("interp.srf_read_words", a.interp.srf_read_words,
-        b.interp.srf_read_words);
-  field("interp.srf_write_words", a.interp.srf_write_words,
-        b.interp.srf_write_words);
-  field("interp.cond_accesses", a.interp.cond_accesses, b.interp.cond_accesses);
-  field("interp.cond_taken", a.interp.cond_taken, b.interp.cond_taken);
-  field("interp.body_iterations", a.interp.body_iterations,
-        b.interp.body_iterations);
-
-  field("mem.ops", a.mem_stats.ops, b.mem_stats.ops);
-  field("mem.words_loaded", a.mem_stats.words_loaded, b.mem_stats.words_loaded);
-  field("mem.words_stored", a.mem_stats.words_stored, b.mem_stats.words_stored);
-  field("mem.addr_generated", a.mem_stats.addr_generated,
-        b.mem_stats.addr_generated);
-  field("mem.busy_cycles", a.mem_stats.busy_cycles, b.mem_stats.busy_cycles);
-
-  field("cache.accesses", a.cache_stats.accesses, b.cache_stats.accesses);
-  field("cache.hits", a.cache_stats.hits, b.cache_stats.hits);
-  field("cache.misses", a.cache_stats.misses, b.cache_stats.misses);
-  field("cache.secondary_misses", a.cache_stats.secondary_misses,
-        b.cache_stats.secondary_misses);
-  field("cache.dirty_evictions", a.cache_stats.dirty_evictions,
-        b.cache_stats.dirty_evictions);
-
-  field("dram.read_lines", a.dram_stats.read_lines, b.dram_stats.read_lines);
-  field("dram.read_words", a.dram_stats.read_words, b.dram_stats.read_words);
-  field("dram.write_words", a.dram_stats.write_words, b.dram_stats.write_words);
-  field("dram.row_misses", a.dram_stats.row_misses, b.dram_stats.row_misses);
-  field("dram.busy_cycles", a.dram_stats.busy_cycles, b.dram_stats.busy_cycles);
-
-  field("scatter_add.requests", a.scatter_add_stats.requests,
-        b.scatter_add_stats.requests);
-  field("scatter_add.combined", a.scatter_add_stats.combined,
-        b.scatter_add_stats.combined);
-  field("scatter_add.issued", a.scatter_add_stats.issued,
-        b.scatter_add_stats.issued);
-  field("scatter_add.stalled", a.scatter_add_stats.stalled,
-        b.scatter_add_stats.stalled);
-
-  const auto& ia = a.timeline.intervals();
-  const auto& ib = b.timeline.intervals();
-  field("timeline.intervals", ia.size(), ib.size());
-  for (std::size_t k = 0; k < ia.size() && k < ib.size(); ++k) {
-    if (ia[k].start == ib[k].start && ia[k].end == ib[k].end &&
-        ia[k].lane == ib[k].lane && ia[k].track == ib[k].track &&
-        ia[k].label == ib[k].label) {
-      continue;
+  // to_json only summarises the timeline; the gate compares every interval.
+  const auto gated = [](const RunStats& s) {
+    obs::Json intervals = obs::Json::array();
+    for (const Interval& iv : s.timeline.intervals()) {
+      intervals.push_back(to_json(iv));
     }
-    if (++reported > 12) break;
-    diff += std::string(diff.empty() ? "" : "; ") + "timeline[" +
-            std::to_string(k) + "]: [" + std::to_string(ia[k].start) + "," +
-            std::to_string(ia[k].end) + ") '" + ia[k].label + "'/t" +
-            std::to_string(ia[k].track) + " vs [" +
-            std::to_string(ib[k].start) + "," + std::to_string(ib[k].end) +
-            ") '" + ib[k].label + "'/t" + std::to_string(ib[k].track);
-  }
-  if (reported > 12) {
-    diff += "; ... (" + std::to_string(reported - 12) + " more)";
-  }
-  return diff;
+    obs::Json j = to_json(s);
+    obs::Json timeline = j.at("timeline");
+    timeline.set("intervals", std::move(intervals));
+    j.set("timeline", std::move(timeline));
+    return j;
+  };
+  return obs::diff(gated(a), gated(b));
 }
 
 Controller::Controller(const MachineConfig& cfg, mem::GlobalMemory* memory)
@@ -758,22 +716,7 @@ RunStats Controller::run(const StreamProgram& program) {
       RunContext ctx(cfg_, memory_, program);
       stats = ctx.run_event();
       std::string diff = diff_run_stats(stepped, stats);
-      if (diff.empty()) {
-        if (shadow.size() != memory_->size()) {
-          diff = "memory size: " + std::to_string(shadow.size()) + " vs " +
-                 std::to_string(memory_->size());
-        } else {
-          for (std::int64_t w = 0; w < shadow.size(); ++w) {
-            const auto addr = static_cast<std::uint64_t>(w);
-            if (shadow.read(addr) != memory_->read(addr)) {
-              diff = "memory word " + std::to_string(w) + ": " +
-                     std::to_string(shadow.read(addr)) + " vs " +
-                     std::to_string(memory_->read(addr));
-              break;
-            }
-          }
-        }
-      }
+      if (diff.empty()) diff = mem::diff_memory(shadow, *memory_);
       if (!diff.empty()) {
         throw std::runtime_error(
             "lockstep divergence (stepped vs event): " + diff);

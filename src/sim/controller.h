@@ -50,11 +50,14 @@ struct RunStats {
   }
 };
 
-/// Field-by-field comparison of two runs; empty string when every stat --
-/// cycles, attribution buckets, memory/cache/DRAM/scatter-add counters and
-/// all timeline intervals -- is identical, else a human-readable summary of
-/// the first mismatches. This is the equivalence oracle behind
-/// SimEngine::kLockstep and the lockstep ctest.
+/// Every counter, the nested stats structs, the derived fractions and a
+/// timeline summary -- the run record of bench JSON and --json outputs.
+obs::Json to_json(const RunStats& s);
+
+/// Comparison of two runs: obs::diff over to_json plus every timeline
+/// interval, so "" exactly when every field to_json emits and every
+/// interval agree, else the first mismatching paths. This is the
+/// equivalence oracle behind SimEngine::kLockstep and the lockstep ctest.
 std::string diff_run_stats(const RunStats& a, const RunStats& b);
 
 /// Executes a StreamProgram against a memory image, cycle by cycle.

@@ -29,6 +29,16 @@ std::uint64_t coverage(const std::vector<Span>& spans, std::size_t& cursor,
 
 }  // namespace
 
+obs::Json to_json(const Interval& iv) {
+  obs::Json j = obs::Json::object();
+  j.set("start", iv.start)
+      .set("end", iv.end)
+      .set("lane", static_cast<int>(iv.lane))
+      .set("track", iv.track)
+      .set("label", iv.label);
+  return j;
+}
+
 void Timeline::add(Lane lane, std::uint64_t start, std::uint64_t end,
                    std::string label, int track) {
   if (end < start) return;

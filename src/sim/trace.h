@@ -37,6 +37,9 @@ struct Interval {
   int track = 0;  ///< sub-track within the lane (memory: SDR slot)
 };
 
+/// Every field (lane as its integer value), for the bit-identity gates.
+obs::Json to_json(const Interval& iv);
+
 class Timeline {
  public:
   /// Record one interval. Zero-length intervals (start == end) are kept --

@@ -72,7 +72,8 @@ Server::Server(ServerOptions opts)
 
 Server::~Server() { shutdown(); }
 
-JobHandle Server::submit(Request req, ProgressFn progress) {
+std::shared_ptr<RequestSlot> Server::open_slot(Request& req,
+                                               ProgressFn progress) {
   auto slot = std::make_shared<RequestSlot>();
   slot->t_submit_ns = obs::monotonic_ns();  // boundary b0
   slot->ctx = span_log_.make_root();
@@ -86,6 +87,18 @@ JobHandle Server::submit(Request req, ProgressFn progress) {
   }
   slot->id = req.id;
   reg_.add("svc.jobs.submitted");
+  return slot;
+}
+
+JobHandle Server::reject_malformed(std::string id, std::string message) {
+  Request req;
+  req.id = std::move(id);
+  return reject(open_slot(req, nullptr), ErrorCode::kBadRequest,
+                std::move(message));
+}
+
+JobHandle Server::submit(Request req, ProgressFn progress) {
+  const auto slot = open_slot(req, std::move(progress));
 
   // Structured rejections, cheapest first; none of these consume a worker.
   if (req.n_molecules <= 0) {

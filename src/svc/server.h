@@ -183,6 +183,12 @@ class Server {
   /// when a worker (or a dedup/cache hit) finishes them.
   JobHandle submit(Request req, ProgressFn progress = nullptr);
 
+  /// Resolve a request that never parsed (a parse_request_file entry
+  /// with an error) as an immediate kBadRequest carrying `message`. It is
+  /// counted, traced and logged like any other rejection, so one
+  /// malformed element of a batch costs one bad_request response.
+  JobHandle reject_malformed(std::string id, std::string message);
+
   /// Request cooperative cancellation of every live request with this
   /// id; returns how many were newly marked. Already-running jobs check
   /// the flag between execution phases and at delivery.
@@ -243,6 +249,9 @@ class Server {
     std::int64_t serialize_ns = 0;
   };
 
+  /// Stamp submission (boundary b0), assign an id if `req` has none, and
+  /// count the request as submitted.
+  std::shared_ptr<RequestSlot> open_slot(Request& req, ProgressFn progress);
   JobHandle reject(const std::shared_ptr<RequestSlot>& slot, ErrorCode code,
                    std::string message);
   void worker_loop();

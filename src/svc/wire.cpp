@@ -196,7 +196,7 @@ std::string payload_text(std::uint64_t hash, const tune::Candidate& config,
   return p.dump(0);
 }
 
-std::vector<Request> parse_request_file(const obs::Json& doc) {
+std::vector<BatchEntry> parse_request_file(const obs::Json& doc) {
   const obs::Json* list = nullptr;
   if (doc.is_array()) {
     list = &doc;
@@ -216,10 +216,16 @@ std::vector<Request> parse_request_file(const obs::Json& doc) {
   } else {
     throw WireError("request file must be an object or array");
   }
-  std::vector<Request> out;
-  out.reserve(list->size());
-  for (const obs::Json& r : list->elements()) {
-    out.push_back(Request::from_json(r));
+  std::vector<BatchEntry> out(list->size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const obs::Json& r = list->at(i);
+    try {
+      out[i].request = Request::from_json(r);
+    } catch (const WireError& e) {
+      out[i].error = e.what();
+      const obs::Json* id = r.find("id");
+      if (id != nullptr && id->is_string()) out[i].request.id = id->as_string();
+    }
   }
   return out;
 }

@@ -131,9 +131,19 @@ std::uint64_t request_hash(const tune::Candidate& config, int n_molecules,
 std::string payload_text(std::uint64_t hash, const tune::Candidate& config,
                          int n_molecules, const tune::Metrics& metrics);
 
+/// One element of a request batch: the parsed request, or why it failed.
+struct BatchEntry {
+  Request request;    ///< on error only `id` is set (the element's "id")
+  std::string error;  ///< WireError message; empty when the element parsed
+};
+
 /// Parse a request batch: either `{"schema_version":1, "requests":[...]}`
-/// or a bare JSON array of request objects. Throws WireError on anything
-/// else (including a schema_version this code was not written for).
-std::vector<Request> parse_request_file(const obs::Json& doc);
+/// or a bare JSON array of request objects. An element that fails
+/// Request::from_json becomes an entry with `error` set, so the caller can
+/// answer it with a bad_request and serve the rest of the batch. Throws
+/// WireError only when the batch itself is malformed (not an object or
+/// array, no requests array, a schema_version this code was not written
+/// for).
+std::vector<BatchEntry> parse_request_file(const obs::Json& doc);
 
 }  // namespace smd::svc

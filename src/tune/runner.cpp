@@ -73,18 +73,11 @@ Metrics evaluate(const core::Problem& problem, const Candidate& cand,
   }
 
   if (cand.blocking_cells > 0) {
-    // The blocking scheme: scheduled-kernel + traffic-census estimate of
-    // the blocked implementation (the Figure 11/12 path). No cycle-driven
-    // simulation exists for it yet, so this is its sim-path stand-in.
-    const core::BlockedImplProfile p = core::profile_blocked_implementation(
-        problem.system, problem.half_list, problem.setup.cutoff,
-        cand.blocking_cells, cfg.sched, cfg.n_clusters,
-        dram_words_per_cycle(cfg));
-    core::AnalyticEstimate e;
-    e.kernel_cycles = p.est_kernel_cycles;
-    e.memory_cycles = p.est_memory_cycles;
-    e.time_cycles = std::max(p.est_kernel_cycles, p.est_memory_cycles);
-    e.mem_words = p.words_total;
+    // The blocking scheme: estimate()'s scheduled-kernel + traffic-census
+    // profile of the blocked implementation (the Figure 11/12 path). No
+    // cycle-driven simulation exists for it yet, so this is its sim-path
+    // stand-in.
+    const core::AnalyticEstimate e = estimate(problem, cand);
     Metrics m = metrics_from_estimate(e, cfg, "blocked_profile");
     const double solution_flops =
         problem.flops_per_interaction *

@@ -200,12 +200,8 @@ TEST(LockstepProperty, RandomProgramsBitIdenticalAcrossEngines) {
           << "trial " << trial << " policy "
           << (policy == SdrPolicy::kConservative ? "conservative"
                                                  : "transfer-scoped");
-      ASSERT_EQ(stepped.memory().size(), event.memory().size());
-      for (std::int64_t w = 0; w < stepped.memory().size(); ++w) {
-        const auto addr = static_cast<std::uint64_t>(w);
-        ASSERT_EQ(stepped.memory().read(addr), event.memory().read(addr))
-            << "trial " << trial << " word " << w;
-      }
+      ASSERT_EQ(mem::diff_memory(stepped.memory(), event.memory()), "")
+          << "trial " << trial;
 
       // Every few trials exercise the built-in cross-check mode too: it
       // throws on any divergence.
@@ -242,9 +238,61 @@ TEST(Lockstep, DiffReportsFirstMismatchedField) {
   b.cycles = 101;
   b.sdr_stall_cycles = 7;
   const std::string diff = diff_run_stats(a, b);
-  EXPECT_NE(diff.find("cycles"), std::string::npos);
-  EXPECT_NE(diff.find("sdr_stall_cycles"), std::string::npos);
+  EXPECT_NE(diff.find("cycles: 100 vs 101"), std::string::npos) << diff;
+  EXPECT_NE(diff.find("sdr_stall_cycles: 0 vs 7"), std::string::npos) << diff;
   EXPECT_EQ(diff_run_stats(a, a), "");
+}
+
+// The gate compares whatever to_json(RunStats) emits, nested structs
+// included, so no field can be left off a hand-written list.
+TEST(Lockstep, DiffNamesNestedStatsField) {
+  RunStats a, b;
+  a.cache_stats.secondary_misses = 3;
+  b.cache_stats.secondary_misses = 4;
+  b.interp.executed.square_roots = 1;
+  const std::string diff = diff_run_stats(a, b);
+  EXPECT_NE(diff.find("cache.secondary_misses: 3 vs 4"), std::string::npos)
+      << diff;
+  EXPECT_NE(diff.find("interp.executed.square_roots: 0 vs 1"),
+            std::string::npos)
+      << diff;
+}
+
+// to_json only summarises the timeline; the gate still compares every
+// interval field by field.
+TEST(Lockstep, DiffNamesTimelineIntervalField) {
+  RunStats a, b;
+  a.timeline.add(Lane::kKernel, 0, 10, "kernel square");
+  b.timeline.add(Lane::kKernel, 0, 10, "kernel square");
+  a.timeline.add(Lane::kMemory, 4, 9, "gather s11", 1);
+  b.timeline.add(Lane::kMemory, 4, 9, "gather s12", 1);
+  const std::string diff = diff_run_stats(a, b);
+  EXPECT_NE(diff.find("timeline.intervals[1].label: \"gather s11\" vs "
+                      "\"gather s12\""),
+            std::string::npos)
+      << diff;
+  EXPECT_EQ(diff.find("intervals[0]"), std::string::npos) << diff;
+
+  b.timeline.add(Lane::kStall, 9, 12, "sdr-stall");
+  EXPECT_NE(diff_run_stats(a, b).find("timeline.intervals: length 2 vs 3"),
+            std::string::npos);
+}
+
+// Memory images compare by bit pattern: +0.0 == -0.0 as doubles, but a
+// gate that lets the sign of zero drift is not a bit-identity gate.
+TEST(Lockstep, MemoryDiffNamesSignedZeroWord) {
+  mem::GlobalMemory a(8), b(8);
+  a.write(5, 0.0);
+  b.write(5, -0.0);
+  const std::string diff = mem::diff_memory(a, b);
+  EXPECT_NE(diff.find("memory word 5: 0 (0x0000000000000000) vs "
+                      "-0 (0x8000000000000000)"),
+            std::string::npos)
+      << diff;
+  EXPECT_EQ(mem::diff_memory(a, a), "");
+
+  mem::GlobalMemory c(9);
+  EXPECT_EQ(mem::diff_memory(a, c), "memory size: 8 vs 9");
 }
 
 // The real application: one small time-step per variant, both engines in

@@ -143,6 +143,54 @@ TEST(Json, FileRoundTrip) {
   EXPECT_THROW(load_file(path), std::runtime_error);
 }
 
+// ---- Structural diff (the bit-identity gates, DESIGN.md section 10). -----
+
+TEST(JsonDiff, IdenticalTreesAndKeyOrderMatch) {
+  const Json a = Json::parse(R"({"x":1,"y":[true,"s",null,2.5]})");
+  const Json b = Json::parse(R"({"y":[true,"s",null,2.5],"x":1})");
+  EXPECT_EQ(diff(a, a), "");
+  EXPECT_EQ(diff(a, b), "");
+}
+
+TEST(JsonDiff, NamesMissingKeysOnEitherSide) {
+  const Json a = Json::parse(R"({"run":{"cycles":5,"old":1}})");
+  const Json b = Json::parse(R"({"run":{"cycles":5,"new":[1,2]}})");
+  EXPECT_EQ(diff(a, b),
+            "run.old: 1 vs missing; run.new: missing vs array[2]");
+}
+
+TEST(JsonDiff, NamesTypeChange) {
+  const Json a = Json::parse(R"({"v":{"x":3},"w":"3"})");
+  const Json b = Json::parse(R"({"v":[3],"w":3})");
+  EXPECT_EQ(diff(a, b), "v: object{1} vs array[1]; w: \"3\" vs 3");
+  EXPECT_EQ(diff(Json(1), Json("1")), "<root>: 1 vs \"1\"");
+}
+
+TEST(JsonDiff, ArrayLengthChangeThenCommonPrefix) {
+  const Json a = Json::parse(R"({"iv":[{"label":"k"},{"label":"g"}]})");
+  const Json b = Json::parse(R"({"iv":[{"label":"k"},{"label":"s"},{}]})");
+  EXPECT_EQ(diff(a, b), "iv: length 2 vs 3; iv[1].label: \"g\" vs \"s\"");
+}
+
+TEST(JsonDiff, NumbersCompareByBitPattern) {
+  EXPECT_EQ(diff(Json(0.0), Json(-0.0)), "<root>: 0 vs -0");
+  EXPECT_EQ(diff(Json(std::nan("")), Json(std::nan(""))), "");
+  EXPECT_EQ(diff(Json(std::int64_t{7}), Json(7.0)), "");
+}
+
+TEST(JsonDiff, CapsReportAtTwelveWithRemainderCount) {
+  Json a = Json::object();
+  Json b = Json::object();
+  for (int i = 0; i < 15; ++i) {
+    a.set("f" + std::to_string(i), i);
+    b.set("f" + std::to_string(i), i + 1);
+  }
+  const std::string d = diff(a, b);
+  EXPECT_EQ(d.rfind("f0: 0 vs 1; f1: 1 vs 2", 0), 0u) << d;
+  EXPECT_NE(d.find("f11: 11 vs 12; ... (3 more)"), std::string::npos) << d;
+  EXPECT_EQ(d.find("f12"), std::string::npos) << d;
+}
+
 TEST(Registry, CountersAndGauges) {
   CounterRegistry reg;
   EXPECT_TRUE(reg.empty());

@@ -9,10 +9,10 @@
 //     water-box time-step under SimEngine::kLockstep (which itself
 //     cross-checks the stepped and event engines), baseline vs. optimized,
 //     under BOTH SDR blocking policies. The final memory image (forces)
-//     must match word-for-word by bit pattern, and the structural run
+//     must match bit for bit (mem::diff_memory), and the structural run
 //     statistics (memory traffic, SRF traffic, iteration counts) must be
-//     unchanged. When the optimizer made zero rewrites the entire RunStats
-//     must match field-by-field.
+//     unchanged. When the optimizer made zero rewrites diff_run_stats must
+//     be empty: every field to_json(RunStats) emits and every interval.
 //   * functional interpretation -- kernels with no stream-program builder
 //     (energy, multi-site, blocked) run through the interpreter on
 //     randomized inputs, baseline vs. optimized, comparing every output
@@ -54,7 +54,7 @@ std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
 /// substitute the optimized twin).
 struct SimOut {
   sim::RunStats run;
-  std::vector<double> mem;
+  mem::GlobalMemory mem;
 };
 
 SimOut simulate(const core::Problem& problem, core::Variant v,
@@ -73,11 +73,7 @@ SimOut simulate(const core::Problem& problem, core::Variant v,
       core::build_program(machine.memory(), image, layout, kdef);
   SimOut out;
   out.run = machine.run(program);
-  out.mem.resize(static_cast<std::size_t>(machine.memory().size()));
-  for (std::int64_t w = 0; w < machine.memory().size(); ++w) {
-    out.mem[static_cast<std::size_t>(w)] =
-        machine.memory().read(static_cast<std::uint64_t>(w));
-  }
+  out.mem = machine.memory();
   return out;
 }
 
@@ -136,11 +132,7 @@ TEST(OptEquivalence, LockstepSweepTableThreeVariantsBothPolicies) {
         EXPECT_EQ(sim::diff_run_stats(base.run, tuned.run), "") << what;
       }
       expect_structural_match(base.run, tuned.run, what);
-      ASSERT_EQ(base.mem.size(), tuned.mem.size()) << what;
-      for (std::size_t w = 0; w < base.mem.size(); ++w) {
-        ASSERT_EQ(bits_of(base.mem[w]), bits_of(tuned.mem[w]))
-            << what << " memory word " << w;
-      }
+      EXPECT_EQ(mem::diff_memory(base.mem, tuned.mem), "") << what;
     }
   }
 }

@@ -235,6 +235,52 @@ TEST(Server, StructuredRejections) {
   EXPECT_EQ(d.simulated, 0);
 }
 
+// One element that fails to parse costs one bad_request, exactly like a
+// parsed request the server rejects; the rest of the batch is served.
+TEST(Server, MalformedBatchElementIsOneBadRequest) {
+  const obs::Json batch = obs::Json::parse(R"({"schema_version":2,"requests":[
+      {"id":"good","config":{"variant":"fixed"},"n_molecules":16},
+      {"id":"typo","config":{"variant":"bogus"}},
+      {"n_molecules":16,"frobnicate":1},
+      {"id":"empty","n_molecules":0}]})");
+  const std::vector<BatchEntry> entries = parse_request_file(batch);
+  ASSERT_EQ(entries.size(), 4u);
+  EXPECT_EQ(entries[0].error, "");
+  EXPECT_NE(entries[1].error.find("unknown variant 'bogus'"),
+            std::string::npos)
+      << entries[1].error;
+  EXPECT_EQ(entries[1].request.id, "typo");
+  EXPECT_NE(entries[2].error.find("frobnicate"), std::string::npos);
+  EXPECT_EQ(entries[2].request.id, "");
+  EXPECT_EQ(entries[3].error, "");  // parses; the server rejects it
+
+  CounterProbe probe;
+  ServerOptions opts;
+  opts.workers = 1;
+  Server server(opts);
+  std::vector<JobHandle> handles;
+  for (const BatchEntry& e : entries) {
+    handles.push_back(e.error.empty()
+                          ? server.submit(e.request)
+                          : server.reject_malformed(e.request.id, e.error));
+  }
+  server.drain();
+  EXPECT_EQ(handles[0].wait().error, ErrorCode::kOk);
+  for (std::size_t i = 1; i < handles.size(); ++i) {
+    const Response& r = handles[i].wait();
+    EXPECT_EQ(r.error, ErrorCode::kBadRequest) << i;
+    EXPECT_FALSE(r.message.empty()) << i;
+  }
+  EXPECT_EQ(handles[1].wait().id, "typo");
+  EXPECT_EQ(handles[1].wait().message, entries[1].error);
+  EXPECT_EQ(handles[2].wait().id.rfind("job-", 0), 0u);  // server-assigned
+
+  const Deltas d = probe.delta();
+  EXPECT_EQ(d.submitted, 4);
+  EXPECT_EQ(d.rejected, 3);
+  EXPECT_EQ(d.completed, 1);
+}
+
 // ---- Correctness: payload identity and dedup. -----------------------------
 
 TEST(Server, PayloadMatchesDirectSingleThreadedRun) {

@@ -14,8 +14,8 @@
 //   * full simulation -- every Table-3 variant runs a complete
 //     strip-mined water-box time-step under kernel_backend = kLockstep
 //     AND as an explicit interp-vs-vm pair, under BOTH SDR policies; the
-//     paired runs must agree on the entire RunStats field-by-field and on
-//     the final memory image word-for-word.
+//     paired runs must agree on every field to_json(RunStats) emits plus
+//     every timeline interval, and on the final memory image bit for bit.
 //   * randomized programs -- 60 generated kernels exercising conditional
 //     reads/writes, broadcast reads, multi-word records and all four
 //     sections, swept through the same functional gate.
@@ -47,7 +47,7 @@ constexpr std::int64_t kRounds = 3;
 
 /// Run `def` on deterministic randomized inputs under the interpreter,
 /// the VM, and lockstep; outputs must match by bit pattern, stats
-/// field-by-field, and lockstep must not throw.
+/// by every to_json field, and lockstep must not throw.
 void expect_vm_bit_identical(const kernel::KernelDef& def,
                              std::uint64_t seed) {
   util::Rng rng(seed);
@@ -125,7 +125,7 @@ TEST(VmEquivalence, BuiltinKernelsBitIdentical) {
 /// helper, parameterized on the kernel backend instead of the kernel).
 struct SimOut {
   sim::RunStats run;
-  std::vector<double> mem;
+  mem::GlobalMemory mem;
 };
 
 SimOut simulate(const core::Problem& problem, core::Variant v,
@@ -147,11 +147,7 @@ SimOut simulate(const core::Problem& problem, core::Variant v,
       core::build_program(machine.memory(), image, layout, kdef);
   SimOut out;
   out.run = machine.run(program);
-  out.mem.resize(static_cast<std::size_t>(machine.memory().size()));
-  for (std::int64_t w = 0; w < machine.memory().size(); ++w) {
-    out.mem[static_cast<std::size_t>(w)] =
-        machine.memory().read(static_cast<std::uint64_t>(w));
-  }
+  out.mem = machine.memory();
   return out;
 }
 
@@ -186,11 +182,7 @@ TEST(VmEquivalence, LockstepSweepTableThreeVariantsBothPolicies) {
 
       EXPECT_EQ(sim::diff_run_stats(ri.run, rv.run), "") << what;
       EXPECT_EQ(sim::diff_run_stats(ri.run, locked.run), "") << what;
-      ASSERT_EQ(ri.mem.size(), rv.mem.size()) << what;
-      for (std::size_t w = 0; w < ri.mem.size(); ++w) {
-        ASSERT_EQ(bits_of(ri.mem[w]), bits_of(rv.mem[w]))
-            << what << " memory word " << w;
-      }
+      EXPECT_EQ(mem::diff_memory(ri.mem, rv.mem), "") << what;
     }
   }
 }
