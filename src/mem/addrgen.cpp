@@ -5,49 +5,28 @@
 namespace smd::mem {
 
 void AddressGenerator::start(const MemOpDesc* desc) {
-  desc_ = desc;
   record_ = 0;
   word_in_record_ = 0;
-  word_pos_ = 0;
-  if (desc_ != nullptr &&
-      (desc_->kind == MemOpKind::kLoadGather ||
-       desc_->kind == MemOpKind::kStoreScatter ||
-       desc_->kind == MemOpKind::kScatterAdd) &&
-      static_cast<std::int64_t>(desc_->indices.size()) < desc_->n_records) {
+  indices_ = nullptr;
+  n_records_ = 0;
+  if (desc == nullptr) return;
+  const bool indexed = desc->kind == MemOpKind::kLoadGather ||
+                       desc->kind == MemOpKind::kStoreScatter ||
+                       desc->kind == MemOpKind::kScatterAdd;
+  if (indexed &&
+      static_cast<std::int64_t>(desc->indices.size()) < desc->n_records) {
     throw std::runtime_error("address generator: index stream too short");
   }
+  indices_ = indexed ? desc->indices.data() : nullptr;
+  base_ = desc->base;
+  stride_ = desc->stride_words != 0 ? desc->stride_words : desc->record_words;
+  n_records_ = desc->n_records;
+  record_words_ = desc->record_words;
+  load_record();
 }
 
-bool AddressGenerator::done() const {
-  return desc_ == nullptr || record_ >= desc_->n_records;
-}
-
-std::uint64_t AddressGenerator::peek() const {
-  if (done()) throw std::runtime_error("address generator exhausted");
-  std::uint64_t rec_base;
-  switch (desc_->kind) {
-    case MemOpKind::kLoadStrided:
-    case MemOpKind::kStoreStrided: {
-      const std::int64_t stride =
-          desc_->stride_words != 0 ? desc_->stride_words : desc_->record_words;
-      rec_base = desc_->base + static_cast<std::uint64_t>(record_ * stride);
-      break;
-    }
-    default:
-      rec_base = desc_->base +
-                 desc_->indices[static_cast<std::size_t>(record_)] *
-                     static_cast<std::uint64_t>(desc_->record_words);
-  }
-  return rec_base + static_cast<std::uint64_t>(word_in_record_);
-}
-
-void AddressGenerator::advance() {
-  if (done()) return;
-  ++word_pos_;
-  if (++word_in_record_ >= desc_->record_words) {
-    word_in_record_ = 0;
-    ++record_;
-  }
+void AddressGenerator::throw_exhausted() {
+  throw std::runtime_error("address generator exhausted");
 }
 
 }  // namespace smd::mem

@@ -43,26 +43,48 @@ struct MemOpDesc {
   }
 };
 
-/// Walks the word addresses of a MemOpDesc in order.
+/// Walks the word addresses of a MemOpDesc in order. The memory system
+/// calls peek/advance once per generated word, so both are inline and the
+/// current record's base address is kept rather than re-derived per word.
+/// The descriptor (and its index vector) must outlive the walk.
 class AddressGenerator {
  public:
   void start(const MemOpDesc* desc);
-  bool active() const { return desc_ != nullptr && !done(); }
-  bool done() const;
+  bool done() const { return record_ >= n_records_; }
 
   /// Next word address without advancing.
-  std::uint64_t peek() const;
+  std::uint64_t peek() const {
+    if (done()) throw_exhausted();
+    return record_base_ + static_cast<std::uint64_t>(word_in_record_);
+  }
   /// Advance to the next word.
-  void advance();
-
-  /// Sequential position of the current word within the stream.
-  std::int64_t stream_pos() const { return word_pos_; }
+  void advance() {
+    if (done()) return;
+    if (++word_in_record_ >= record_words_) {
+      word_in_record_ = 0;
+      ++record_;
+      load_record();
+    }
+  }
 
  private:
-  const MemOpDesc* desc_ = nullptr;
+  void load_record() {
+    if (done()) return;
+    record_base_ =
+        indices_ != nullptr
+            ? base_ + indices_[record_] * static_cast<std::uint64_t>(record_words_)
+            : base_ + static_cast<std::uint64_t>(record_ * stride_);
+  }
+  [[noreturn]] static void throw_exhausted();
+
+  const std::uint64_t* indices_ = nullptr;  ///< null for strided walks
+  std::uint64_t base_ = 0;
+  std::int64_t stride_ = 0;
+  std::int64_t n_records_ = 0;
+  int record_words_ = 1;
   std::int64_t record_ = 0;
   int word_in_record_ = 0;
-  std::int64_t word_pos_ = 0;
+  std::uint64_t record_base_ = 0;
 };
 
 }  // namespace smd::mem

@@ -15,20 +15,25 @@ obs::Json to_json(const CacheStats& s) {
   return j;
 }
 
-CacheTags::CacheTags(const CacheConfig& cfg) : cfg_(cfg) {
-  const std::int64_t lines = cfg_.total_words / cfg_.line_words;
-  n_sets_ = lines / cfg_.associativity;
-  if (n_sets_ <= 0) throw std::runtime_error("cache too small");
-  ways_.assign(static_cast<std::size_t>(lines), Way{});
+namespace {
+
+std::int64_t sets_of(const CacheConfig& cfg) {
+  const std::int64_t sets =
+      cfg.total_words / cfg.line_words / cfg.associativity;
+  if (sets <= 0) throw std::runtime_error("cache too small");
+  return sets;
 }
 
-int CacheTags::bank_of(std::uint64_t word_addr) const {
-  return static_cast<int>(line_of(word_addr) %
-                          static_cast<std::uint64_t>(cfg_.n_banks));
-}
+}  // namespace
 
-std::size_t CacheTags::set_index(std::uint64_t line_addr) const {
-  return static_cast<std::size_t>(line_addr % static_cast<std::uint64_t>(n_sets_));
+CacheTags::CacheTags(const CacheConfig& cfg)
+    : cfg_(cfg),
+      n_sets_(sets_of(cfg)),
+      line_div_(static_cast<std::uint64_t>(cfg.line_words)),
+      bank_div_(static_cast<std::uint64_t>(cfg.n_banks)),
+      set_div_(static_cast<std::uint64_t>(n_sets_)) {
+  ways_.assign(static_cast<std::size_t>(cfg_.total_words / cfg_.line_words),
+               Way{});
 }
 
 CacheTags::Way* CacheTags::find(std::uint64_t line_addr) {

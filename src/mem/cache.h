@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/mem/divisor.h"
 #include "src/obs/json.h"
 
 namespace smd::mem {
@@ -48,9 +49,14 @@ class CacheTags {
  public:
   explicit CacheTags(const CacheConfig& cfg);
 
-  int bank_of(std::uint64_t word_addr) const;
   std::uint64_t line_of(std::uint64_t word_addr) const {
-    return word_addr / static_cast<std::uint64_t>(cfg_.line_words);
+    return line_div_.quot(word_addr);
+  }
+  int bank_of_line(std::uint64_t line_addr) const {
+    return static_cast<int>(bank_div_.rem(line_addr));
+  }
+  int bank_of(std::uint64_t word_addr) const {
+    return bank_of_line(line_of(word_addr));
   }
 
   /// Probe (and update LRU on hit). Does not allocate.
@@ -79,12 +85,17 @@ class CacheTags {
     std::uint64_t lru = 0;
   };
 
-  std::size_t set_index(std::uint64_t line_addr) const;
+  std::size_t set_index(std::uint64_t line_addr) const {
+    return static_cast<std::size_t>(set_div_.rem(line_addr));
+  }
   Way* find(std::uint64_t line_addr);
   const Way* find(std::uint64_t line_addr) const;
 
   CacheConfig cfg_;
   std::int64_t n_sets_;  ///< total sets across all banks
+  Divisor line_div_;     ///< line_words
+  Divisor bank_div_;     ///< n_banks
+  Divisor set_div_;      ///< n_sets_
   std::vector<Way> ways_;
   std::uint64_t tick_ = 0;
   CacheStats stats_;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/mem/addrgen.h"
@@ -94,13 +93,16 @@ class MemSystem {
   /// Advance one cycle.
   void tick();
 
-  /// Advance to cycle `t` (t >= now()), bit-identical to `t - now()` calls
-  /// of tick(). Pure-wait stretches -- no address generation, no bank
-  /// work, no DRAM channel activity -- are fast-forwarded in O(1) instead
-  /// of being ticked through; anything else falls back to per-cycle
-  /// tick(). Callers that need to observe op completions promptly should
-  /// bound `t` by next_event_time().
-  void tick_until(std::uint64_t t);
+  /// Advance toward cycle `t` (t > now()) and return the cycle reached:
+  /// `t`, or earlier -- the end of the first cycle in which an op
+  /// completes, i.e. the cycle its op_finish_time becomes known. Bit-
+  /// identical to that many calls of tick(). Busy stretches run through
+  /// the per-cycle model here, without returning to the caller; pure-wait
+  /// stretches (no address generation, no bank work, no DRAM channel
+  /// activity) are fast-forwarded in O(1). op_done can only flip at a
+  /// finish time, so a caller that stops at every return value and at
+  /// every known finish time observes every op_done change promptly.
+  std::uint64_t tick_until(std::uint64_t t);
 
   /// Earliest future cycle at which the visible state (op_done answers,
   /// statistics) may change: now()+1 while any per-cycle machinery is
@@ -129,7 +131,7 @@ class MemSystem {
  private:
   struct Op {
     MemOpDesc desc;
-    AddressGenerator ag;
+    AddressGenerator ag;  // points into desc.indices, which a move keeps
     std::int64_t outstanding = 0;   // words not yet retired
     bool addresses_done = false;
     bool done = false;
@@ -138,41 +140,74 @@ class MemSystem {
 
   struct BankReq {
     OpId op;
-    std::uint64_t addr;
     MemOpKind kind;
+    std::uint64_t addr;
   };
 
+  /// An outstanding line fill and the ops waiting on it. Slots are reused,
+  /// so a waiter vector keeps its capacity from fill to fill.
   struct Mshr {
-    std::vector<OpId> waiters;
+    std::uint64_t line = 0;
     bool dirty = false;  ///< a scatter-add RMW targets the line
+    std::vector<OpId> waiters;
   };
 
+  /// One cache bank, sized by CacheConfig: a ring of bank_queue_depth
+  /// requests and mshrs_per_bank MSHR slots, the first n_mshrs in use.
   struct Bank {
-    std::deque<BankReq> queue;
-    std::unordered_map<std::uint64_t, Mshr> mshrs;  // line -> fill waiters
+    Bank(const CacheConfig& cache, const ScatterAddConfig& sa);
+
+    bool idle() const { return queued == 0 && pending_writebacks.empty(); }
+    bool queue_full() const {
+      return queued >= static_cast<int>(queue.size());
+    }
+    const BankReq& front() const {
+      return queue[static_cast<std::size_t>(head)];
+    }
+    void push(const BankReq& req);
+    void pop();
+    /// Slot index of the MSHR tracking `line`, or -1.
+    int find_mshr(std::uint64_t line) const;
+    Mshr& add_mshr(std::uint64_t line, bool dirty);
+    void release_mshr(int slot);
+
+    std::vector<BankReq> queue;  // ring storage
+    int head = 0;
+    int queued = 0;
+    std::vector<Mshr> mshrs;
+    int n_mshrs = 0;
     std::deque<std::uint64_t> pending_writebacks;   // line addresses
     CombiningStore combining;
-
-    explicit Bank(const ScatterAddConfig& sa) : combining(sa) {}
   };
 
   void retire_word(OpId id);
-  bool bank_process_one(int b);
+  void complete(Op& op);
+  void pop_request(Bank& bank);
+  bool bank_process_one(Bank& bank);
   void handle_fills();
   void generate_addresses();
-  bool has_cycle_work() const;
+  bool has_cycle_work() const {
+    return ag_ops_ > 0 || queued_ > 0 || writebacks_ > 0 ||
+           dram_.channels_busy();
+  }
 
   MemSystemConfig cfg_;
   GlobalMemory* mem_;
   CacheTags tags_;
   Dram dram_;
   std::vector<Bank> banks_;
-  std::deque<Op> ops_;  // deque: stable references for AddressGenerator desc pointers
+  std::vector<Op> ops_;
   std::deque<OpId> ag_queue_;        // ops waiting for an address generator
   std::vector<OpId> ag_current_;     // per AG: active op or -1
   std::uint64_t now_ = 0;
   MemSystemStats stats_;
-  int active_ops_ = 0;
+  int active_ops_ = 0;               // issued, not yet completed
+  int ag_ops_ = 0;                   // queued for or holding an AG
+  std::int64_t queued_ = 0;          // requests in all bank queues
+  std::int64_t writebacks_ = 0;      // pending writebacks, all banks
+  std::int64_t mshrs_in_use_ = 0;    // all banks
+  std::uint64_t ops_completed_ = 0;  // tick_until's stop signal
+  std::uint64_t last_finish_ = 0;    // latest finish_time so far
 };
 
 }  // namespace smd::mem
