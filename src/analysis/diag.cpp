@@ -115,7 +115,7 @@ std::vector<std::string> known_check_ids() {
   };
   family("IR", 1, 24);
   family("SP", 1, 16);
-  family("MC", 1, 15);
+  family("MC", 1, 16);
   ids.push_back("MC106");  // one-SDR-overlap warning, variant of MC006
   return ids;
 }

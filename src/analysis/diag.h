@@ -100,7 +100,7 @@ class Diagnostics {
 };
 
 /// Every check ID the analysis passes can emit, in catalogue order:
-/// IR001-IR024 (verify_ir.h), SP001-SP016 (check_stream.h), MC001-MC015 +
+/// IR001-IR024 (verify_ir.h), SP001-SP016 (check_stream.h), MC001-MC016 +
 /// MC106 (sim::MachineConfig::validate). The doc-drift guard test asserts
 /// this list matches the DESIGN.md catalogue one-to-one, so adding a check
 /// means extending this list AND the catalogue.

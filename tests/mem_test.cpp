@@ -8,6 +8,7 @@
 #include "src/mem/memsys.h"
 #include "src/mem/scatteradd.h"
 #include "src/util/rng.h"
+#include "tests/mem_soup.h"
 
 namespace smd::mem {
 namespace {
@@ -287,6 +288,37 @@ TEST(CombiningStore, MergeWindowExpires) {
   EXPECT_FALSE(cs.try_merge(7, 18));  // window closed
 }
 
+TEST(CombiningStore, MergePastEarliestExpiryIsStillPurged) {
+  // A merge pushes an entry's expiry past the earliest expiry the store
+  // has seen; each entry must still leave at its own expiry, and a freed
+  // slot must take the next allocation.
+  ScatterAddConfig cfg;
+  cfg.latency = 4;
+  cfg.combining_entries = 2;
+  CombiningStore cs(cfg);
+  ASSERT_TRUE(cs.try_allocate(1, 0));  // expires at 4
+  ASSERT_TRUE(cs.try_allocate(2, 2));  // expires at 6
+  ASSERT_TRUE(cs.try_merge(1, 3));     // now expires at 7
+  cs.purge_expired(4);
+  EXPECT_EQ(cs.occupancy(), 2);
+  EXPECT_FALSE(cs.try_allocate(3, 4));  // still full
+  cs.purge_expired(6);
+  EXPECT_EQ(cs.occupancy(), 1);         // 2 left, 1 still in flight
+  EXPECT_FALSE(cs.try_merge(2, 6));
+  EXPECT_TRUE(cs.try_allocate(3, 6));   // reuses 2's slot; expires at 10
+  cs.purge_expired(7);
+  EXPECT_EQ(cs.occupancy(), 1);         // 1 left, 3 in flight
+  EXPECT_FALSE(cs.try_merge(1, 7));
+  EXPECT_TRUE(cs.try_merge(3, 7));      // now expires at 11
+  cs.purge_expired(10);
+  EXPECT_FALSE(cs.empty());
+  cs.purge_expired(11);
+  EXPECT_TRUE(cs.empty());
+  EXPECT_EQ(cs.stats().stalled, 1);
+  EXPECT_EQ(cs.stats().issued, 3);
+  EXPECT_EQ(cs.stats().combined, 2);
+}
+
 // ---------------------------------------------------------------------------
 // MemSystem end-to-end
 // ---------------------------------------------------------------------------
@@ -526,6 +558,174 @@ TEST(MemSystem, ZeroLengthOpCompletesImmediately) {
   const auto id = ms.issue(d, &dst, nullptr);
   EXPECT_TRUE(ms.op_done(id));
   EXPECT_TRUE(dst.empty());
+}
+
+TEST(MemSystem, MshrSlotReusedAfterFill) {
+  // One bank with one MSHR: every primary miss has to wait for the
+  // previous line's fill to free the slot, and a reused slot must carry
+  // only its own waiters -- stale ones would retire words twice and
+  // complete the op before its last line returned.
+  GlobalMemory mem;
+  const auto base = mem.alloc(64);
+  for (int i = 0; i < 64; ++i) mem.write(base + static_cast<std::uint64_t>(i), i);
+  MemSystemConfig cfg = small_config();
+  cfg.cache.n_banks = 1;
+  cfg.cache.mshrs_per_bank = 1;
+  MemSystem ms(cfg, &mem);
+  MemOpDesc d;
+  d.kind = MemOpKind::kLoadGather;
+  d.base = base;
+  d.n_records = 8;
+  d.record_words = 8;
+  d.indices = {0, 0, 1, 1, 2, 2, 3, 3};  // 4 lines, each gathered twice
+  std::vector<double> dst;
+  const auto id = ms.issue(d, &dst, nullptr);
+  // The op completes with the last line's fill: its read leaves the
+  // channel at `last_read` and returns access_latency later.
+  std::uint64_t last_read = 0;
+  while (!ms.all_done()) {
+    ms.tick();
+    if (last_read == 0 && ms.dram_stats().read_lines == 4) last_read = ms.now();
+  }
+  EXPECT_EQ(ms.dram_stats().read_lines, 4);
+  EXPECT_EQ(ms.op_finish_time(id),
+            last_read + static_cast<std::uint64_t>(cfg.dram.access_latency +
+                                                   cfg.cache.hit_latency));
+  EXPECT_EQ(dst[63], 31.0);
+  // Every slot came back: a second pass hits without new fills.
+  std::vector<double> again;
+  ms.issue(d, &again, nullptr);
+  run_to_completion(ms);
+  EXPECT_EQ(ms.dram_stats().read_lines, 4);
+  EXPECT_EQ(again, dst);
+}
+
+TEST(MemSystem, TickUntilStopsAtFirstCompletion) {
+  GlobalMemory mem;
+  const auto base = mem.alloc(4096);
+  const MemSystemConfig cfg = small_config();
+  auto issue_two = [&](MemSystem& ms, std::vector<double>& a,
+                       std::vector<double>& b) {
+    MemOpDesc shorter;
+    shorter.kind = MemOpKind::kLoadStrided;
+    shorter.base = base;
+    shorter.n_records = 1;
+    shorter.record_words = 8;
+    MemOpDesc longer = shorter;
+    longer.base = base + 1024;
+    longer.n_records = 256;
+    return std::pair{ms.issue(shorter, &a, nullptr),
+                     ms.issue(longer, &b, nullptr)};
+  };
+
+  // Reference: per-cycle ticks, noting the cycle each op completes in.
+  MemSystem ref(cfg, &mem);
+  std::vector<double> ra, rb;
+  const auto [ref_a, ref_b] = issue_two(ref, ra, rb);
+  std::uint64_t first = 0;
+  while (!ref.op_completed(ref_b) && ref.now() < 100'000) {
+    ref.tick();
+    if (first == 0 && ref.op_completed(ref_a)) first = ref.now();
+  }
+  ASSERT_TRUE(ref.op_completed(ref_b));
+  const std::uint64_t second = ref.now();
+  ASSERT_GT(first, 1u);
+  ASSERT_LT(first, second);
+
+  MemSystem ms(cfg, &mem);
+  std::vector<double> a, b;
+  const auto [op_a, op_b] = issue_two(ms, a, b);
+  // A target short of the first completion is reached exactly.
+  EXPECT_EQ(ms.tick_until(first - 1), first - 1);
+  EXPECT_FALSE(ms.op_completed(op_a));
+  // A far target: the call returns at the end of the completing cycle,
+  // with the finish time known but the pipeline drain still ahead.
+  EXPECT_EQ(ms.tick_until(1'000'000), first);
+  EXPECT_EQ(ms.now(), first);
+  EXPECT_TRUE(ms.op_completed(op_a));
+  EXPECT_FALSE(ms.op_completed(op_b));
+  EXPECT_EQ(ms.op_finish_time(op_a),
+            first + static_cast<std::uint64_t>(cfg.cache.hit_latency));
+  EXPECT_FALSE(ms.op_done(op_a));
+  EXPECT_EQ(ms.tick_until(1'000'000), second);
+  EXPECT_TRUE(ms.op_completed(op_b));
+  EXPECT_EQ(ms.op_finish_time(op_a), ref.op_finish_time(ref_a));
+  EXPECT_EQ(ms.op_finish_time(op_b), ref.op_finish_time(ref_b));
+  // Nothing left to complete: the target is reached.
+  EXPECT_EQ(ms.tick_until(second + 500), second + 500);
+  EXPECT_TRUE(ms.all_done());
+}
+
+/// Runs soup `seed` to cycle `end`, issuing every op at exactly its cycle,
+/// either tick() by tick() or in tick_until strides that stop at the next
+/// issue cycle. Each early return of tick_until is checked against the
+/// contract: some op completed in the cycle it returned at.
+struct SoupRun {
+  obs::Json record;
+  std::vector<std::vector<double>> loaded;
+  GlobalMemory memory;
+};
+
+SoupRun run_soup(int seed, bool strided, std::uint64_t end) {
+  soup::Soup s = soup::make(seed);
+  SoupRun out;
+  out.loaded.resize(s.ops.size());
+  MemSystem ms(s.cfg, &s.memory);
+  std::vector<MemSystem::OpId> ids;
+  std::size_t next = 0;
+  while (ms.now() < end) {
+    while (next < s.ops.size() && s.ops[next].issue_at <= ms.now()) {
+      ids.push_back(ms.issue(s.ops[next].desc, &out.loaded[next],
+                             &s.ops[next].src));
+      ++next;
+    }
+    if (!strided) {
+      ms.tick();
+      continue;
+    }
+    const std::uint64_t target =
+        next < s.ops.size() ? std::min(s.ops[next].issue_at, end) : end;
+    std::vector<bool> completed;
+    for (const auto id : ids) completed.push_back(ms.op_completed(id));
+    const std::uint64_t reached = ms.tick_until(target);
+    EXPECT_EQ(reached, ms.now());
+    EXPECT_LE(reached, target);
+    if (reached < target) {
+      int newly = 0;
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        if (completed[k] || !ms.op_completed(ids[k])) continue;
+        ++newly;
+        EXPECT_EQ(ms.op_finish_time(ids[k]),
+                  reached + static_cast<std::uint64_t>(s.cfg.cache.hit_latency))
+            << "soup " << seed << " op " << k;
+      }
+      EXPECT_GT(newly, 0) << "soup " << seed << ": tick_until stopped at "
+                          << reached << " with no completion";
+    }
+  }
+  EXPECT_TRUE(ms.all_done()) << "soup " << seed;
+  obs::Json finish = obs::Json::array();
+  for (const auto id : ids) finish.push_back(ms.op_finish_time(id));
+  out.record = obs::Json::object();
+  out.record.set("finish_times", std::move(finish))
+      .set("mem", to_json(ms.stats()))
+      .set("cache", to_json(ms.cache_stats()))
+      .set("dram", to_json(ms.dram_stats()))
+      .set("scatter_add", to_json(ms.scatter_add_stats()));
+  out.memory = s.memory;
+  return out;
+}
+
+TEST(MemSystem, TickUntilMatchesTickOnOpSoups) {
+  constexpr std::uint64_t kEnd = 50'000;
+  for (int seed = 0; seed < 50; ++seed) {
+    const SoupRun stepped = run_soup(seed, false, kEnd);
+    const SoupRun strided = run_soup(seed, true, kEnd);
+    EXPECT_EQ(obs::diff(stepped.record, strided.record), "") << "soup " << seed;
+    EXPECT_EQ(stepped.loaded, strided.loaded) << "soup " << seed;
+    EXPECT_EQ(diff_memory(stepped.memory, strided.memory), "")
+        << "soup " << seed;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "src/analysis/diag.h"
 #include "src/kernel/ir.h"
 #include "src/obs/json.h"
 #include "src/util/rng.h"
@@ -52,6 +54,77 @@ TEST(Config, MerrimacParametersMatchPaperTable1) {
   // 38.4 GB/s peak DRAM.
   EXPECT_NEAR(cfg.mem.dram.n_channels * cfg.mem.dram.channel_words_per_cycle * 8.0,
               38.4, 1e-9);
+}
+
+// MC016: the memory system sizes its per-bank request rings and MSHR
+// tables by these capacities. A zero-word DRAM row used to kill the process
+// with SIGFPE, and a zero-capacity queue or MSHR table spun until the
+// deadlock detector fired; both are now rejected before simulating.
+void expect_mc016(const MachineConfig& cfg, const std::string& field) {
+  const analysis::Diagnostics diags = cfg.validate();
+  EXPECT_EQ(diags.errors(), 1) << diags.format();
+  const analysis::Diagnostic* d = diags.find("MC016");
+  ASSERT_NE(d, nullptr) << diags.format();
+  EXPECT_NE(d->message.find(field), std::string::npos) << d->message;
+
+  Machine machine(cfg);
+  const kernel::KernelDef def = make_square();
+  StreamProgram prog;
+  const StreamId s_in = prog.new_stream(16);
+  const StreamId s_out = prog.new_stream(16);
+  mem::MemOpDesc load;
+  load.base = machine.memory().alloc(16);
+  load.n_records = 16;
+  prog.load(load, s_in);
+  prog.kernel(&def, {s_in, s_out}, 1);
+  EXPECT_THROW(machine.run(prog), analysis::CheckFailure) << field;
+}
+
+TEST(Config, Mc016RejectsZeroBankQueueDepth) {
+  MachineConfig cfg = test_config();
+  cfg.mem.cache.bank_queue_depth = 0;
+  expect_mc016(cfg, "mem.cache.bank_queue_depth");
+}
+
+TEST(Config, Mc016RejectsZeroMshrsPerBank) {
+  MachineConfig cfg = test_config();
+  cfg.mem.cache.mshrs_per_bank = 0;
+  expect_mc016(cfg, "mem.cache.mshrs_per_bank");
+}
+
+TEST(Config, Mc016RejectsZeroDramReadQueueDepth) {
+  MachineConfig cfg = test_config();
+  cfg.mem.dram.read_queue_depth = 0;
+  expect_mc016(cfg, "mem.dram.read_queue_depth");
+}
+
+TEST(Config, Mc016RejectsZeroDramRowWords) {
+  MachineConfig cfg = test_config();
+  cfg.mem.dram.row_words = 0;
+  expect_mc016(cfg, "mem.dram.row_words");
+}
+
+TEST(Config, Mc016RejectsNegativeHitLatency) {
+  MachineConfig cfg = test_config();
+  cfg.mem.cache.hit_latency = -1;
+  expect_mc016(cfg, "mem.cache.hit_latency");
+}
+
+TEST(Config, Mc016RejectsNegativeDramAccessLatency) {
+  MachineConfig cfg = test_config();
+  cfg.mem.dram.access_latency = -1;
+  expect_mc016(cfg, "mem.dram.access_latency");
+}
+
+TEST(Config, Mc016AcceptsUnitCapacitiesAndZeroLatencies) {
+  MachineConfig cfg = test_config();
+  cfg.mem.cache.bank_queue_depth = 1;
+  cfg.mem.cache.mshrs_per_bank = 1;
+  cfg.mem.dram.read_queue_depth = 1;
+  cfg.mem.dram.row_words = 1;
+  cfg.mem.cache.hit_latency = 0;
+  cfg.mem.dram.access_latency = 0;
+  EXPECT_EQ(cfg.validate().count("MC016"), 0) << cfg.validate().format();
 }
 
 TEST(Srf, AllocationAccounting) {
