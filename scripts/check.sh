@@ -42,6 +42,14 @@ for preset in "${presets[@]}"; do
     # divergence is named in the log even when other tests also fail.
     echo "==== lockstep engine cross-check (${preset}) ===="
     ctest --preset "${preset}" -R lockstep_test --output-on-failure
+    # Memory-model gate (DESIGN.md section 10): both engines drive one
+    # shared MemSystem, so lockstep cannot see a change inside it. The
+    # golden digests (StreamMD runs and seeded op soups, recorded from the
+    # per-cycle model) and mem_test's tick_until contract checks can.
+    # Re-run standalone so a memory-model divergence is named in the log.
+    echo "==== memory-model golden digests (${preset}) ===="
+    ctest --preset "${preset}" -R '^(memsys_golden_test|mem_test)$' \
+      --output-on-failure
     # Optimizer equivalence gate (DESIGN.md section 12): the verified
     # optimizer's output must be bit-identical to its input -- full
     # lockstep sweep over the Table-3 variants plus the naive kernel
