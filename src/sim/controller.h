@@ -54,10 +54,15 @@ struct RunStats {
 /// timeline summary -- the run record of bench JSON and --json outputs.
 obs::Json to_json(const RunStats& s);
 
-/// Comparison of two runs: obs::diff over to_json plus every timeline
-/// interval, so "" exactly when every field to_json emits and every
-/// interval agree, else the first mismatching paths. This is the
-/// equivalence oracle behind SimEngine::kLockstep and the lockstep ctest.
+/// The tree the bit-identity gates compare: to_json, whose timeline entry
+/// is only a summary, with every timeline interval added under
+/// timeline.intervals.
+obs::Json gated_json(const RunStats& s);
+
+/// Comparison of two runs: obs::diff over gated_json, so "" exactly when
+/// every field to_json emits and every interval agree, else the first
+/// mismatching paths. This is the equivalence oracle behind
+/// SimEngine::kLockstep and the lockstep ctest.
 std::string diff_run_stats(const RunStats& a, const RunStats& b);
 
 /// Executes a StreamProgram against a memory image, cycle by cycle.
