@@ -25,6 +25,7 @@
 #include "src/mem/memsys.h"
 #include "src/sim/config.h"
 #include "src/sim/streamop.h"
+#include "tests/malformed_kernels.h"
 
 namespace smd {
 namespace {
@@ -36,27 +37,12 @@ using analysis::Severity;
 using kernel::Instr;
 using kernel::KernelDef;
 using kernel::Opcode;
-using kernel::StreamDecl;
-using kernel::StreamDir;
 
 // ---------------------------------------------------------------------------
-// Golden malformed-IR cases. Kernels are built by hand (not through
-// KernelBuilder, whose build() already validates) so each case isolates
-// exactly one defect.
+// Golden malformed-IR cases: one kernel per defect (tests/malformed_kernels.h).
 // ---------------------------------------------------------------------------
 
-/// Minimal well-formed skeleton: one input, one output, body copies a
-/// record through. Cases below mutate one aspect of it.
-KernelDef skeleton() {
-  KernelDef k;
-  k.name = "malformed";
-  k.n_regs = 8;
-  k.streams.push_back({"x", StreamDir::kIn, 1, false});
-  k.streams.push_back({"y", StreamDir::kOut, 1, false});
-  k.body.push_back({Opcode::kRead, /*dst=*/0, -1, -1, -1, /*stream=*/0, 1});
-  k.body.push_back({Opcode::kWrite, -1, /*a=*/0, -1, -1, /*stream=*/1, 1});
-  return k;
-}
+using malformed::skeleton;
 
 /// The one diagnostic with the given ID, asserting it exists.
 const Diagnostic* expect_diag(const Diagnostics& d, const std::string& id) {
@@ -66,10 +52,7 @@ const Diagnostic* expect_diag(const Diagnostics& d, const std::string& id) {
 }
 
 TEST(VerifyIr, UseBeforeDefOfNeverDefinedRegisterIsIR003) {
-  KernelDef k = skeleton();
-  // Register 5 is never defined anywhere but feeds the sum.
-  k.body.insert(k.body.begin() + 1,
-                {Opcode::kAdd, /*dst=*/1, /*a=*/0, /*b=*/5});
+  const KernelDef k = malformed::undefined_source();
   const Diagnostics d = analysis::verify_kernel(k);
   const Diagnostic* g = expect_diag(d, "IR003");
   ASSERT_NE(g, nullptr);
@@ -81,9 +64,8 @@ TEST(VerifyIr, UseBeforeDefOfNeverDefinedRegisterIsIR003) {
 }
 
 TEST(VerifyIr, RegisterOutOfRangeIsIR001) {
-  KernelDef k = skeleton();
-  k.body.insert(k.body.begin() + 1, {Opcode::kMov, /*dst=*/7, /*a=*/99});
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::register_out_of_range());
   const Diagnostic* g = expect_diag(d, "IR001");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
@@ -91,9 +73,8 @@ TEST(VerifyIr, RegisterOutOfRangeIsIR001) {
 }
 
 TEST(VerifyIr, StreamSlotOutOfRangeIsIR002) {
-  KernelDef k = skeleton();
-  k.body[0].stream = 3;  // only slots 0 and 1 are declared
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::stream_slot_out_of_range());
   const Diagnostic* g = expect_diag(d, "IR002");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
@@ -101,9 +82,8 @@ TEST(VerifyIr, StreamSlotOutOfRangeIsIR002) {
 }
 
 TEST(VerifyIr, ReadOfOutputStreamIsDirectionMismatchIR005) {
-  KernelDef k = skeleton();
-  k.body[0].stream = 1;  // read targets the output decl
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::read_of_output_stream());
   const Diagnostic* g = expect_diag(d, "IR005");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
@@ -111,9 +91,7 @@ TEST(VerifyIr, ReadOfOutputStreamIsDirectionMismatchIR005) {
 }
 
 TEST(VerifyIr, CountRecordWordsMismatchIsIR006) {
-  KernelDef k = skeleton();
-  k.body[0].count = 2;  // decl says 1 word per record
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::count_mismatch());
   const Diagnostic* g = expect_diag(d, "IR006");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
@@ -121,10 +99,8 @@ TEST(VerifyIr, CountRecordWordsMismatchIsIR006) {
 }
 
 TEST(VerifyIr, ConditionalAccessOfNonConditionalDeclIsIR007) {
-  KernelDef k = skeleton();
-  k.prologue.push_back({Opcode::kConst, /*dst=*/4});  // predicate
-  k.body[0] = {Opcode::kReadCond, /*dst=*/0, -1, -1, /*c=*/4, /*stream=*/0, 1};
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::conditional_access_of_plain_decl());
   const Diagnostic* g = expect_diag(d, "IR007");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
@@ -132,21 +108,16 @@ TEST(VerifyIr, ConditionalAccessOfNonConditionalDeclIsIR007) {
 }
 
 TEST(VerifyIr, PlainAccessOfConditionalDeclIsIR008) {
-  KernelDef k = skeleton();
-  k.streams[0].conditional = true;  // decl conditional, access plain
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::plain_access_of_conditional_decl());
   const Diagnostic* g = expect_diag(d, "IR008");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
 }
 
 TEST(VerifyIr, UndefinedPredicateOnConditionalAccessIsIR009) {
-  KernelDef k = skeleton();
-  k.streams[0].conditional = true;
-  // Predicate register 4 is never defined -- SIMD clusters cannot evaluate
-  // the condition.
-  k.body[0] = {Opcode::kReadCond, /*dst=*/0, -1, -1, /*c=*/4, /*stream=*/0, 1};
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::undefined_predicate());
   const Diagnostic* g = expect_diag(d, "IR009");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
@@ -154,31 +125,21 @@ TEST(VerifyIr, UndefinedPredicateOnConditionalAccessIsIR009) {
 }
 
 TEST(VerifyIr, DoubleBroadcastOfOneStreamIsIR010) {
-  KernelDef k = skeleton();
-  k.body[0].op = Opcode::kReadBcast;
-  k.body.insert(k.body.begin() + 1,
-                Instr{Opcode::kReadBcast, /*dst=*/1, -1, -1, -1,
-                      /*stream=*/0, 1});
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::double_broadcast());
   const Diagnostic* g = expect_diag(d, "IR010");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
 }
 
 TEST(VerifyIr, NonPositiveStreamCountIsIR011) {
-  KernelDef k = skeleton();
-  k.body[0].count = 0;
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::zero_count());
   const Diagnostic* g = expect_diag(d, "IR011");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
 }
 
 TEST(VerifyIr, DeadWriteIsIR012Warning) {
-  KernelDef k = skeleton();
-  // Register 2 is computed but feeds nothing.
-  k.body.insert(k.body.begin() + 1,
-                Instr{Opcode::kAdd, /*dst=*/2, /*a=*/0, /*b=*/0});
+  const KernelDef k = malformed::dead_write();
   const Diagnostics d = analysis::verify_kernel(k);
   const Diagnostic* g = expect_diag(d, "IR012");
   ASSERT_NE(g, nullptr);
@@ -188,9 +149,7 @@ TEST(VerifyIr, DeadWriteIsIR012Warning) {
 }
 
 TEST(VerifyIr, UnusedStreamDeclIsIR013Warning) {
-  KernelDef k = skeleton();
-  k.streams.push_back({"ghost", StreamDir::kIn, 1, false});
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::unused_stream());
   const Diagnostic* g = expect_diag(d, "IR013");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);
@@ -198,30 +157,17 @@ TEST(VerifyIr, UnusedStreamDeclIsIR013Warning) {
 }
 
 TEST(VerifyIr, NonPositiveBlockLenIsIR014) {
-  KernelDef k = skeleton();
-  k.block_len = 0;
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::zero_block_len());
   const Diagnostic* g = expect_diag(d, "IR014");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
 }
 
 TEST(VerifyIr, LrfPressureBeyondCapacityIsIR015) {
-  KernelDef k = skeleton();
   analysis::VerifyOptions opts;
-  opts.lrf_words = 4;  // force IR015 by keeping 6+ registers live at once
-  for (int r = 1; r <= 6; ++r) {
-    k.body.insert(k.body.begin() + 1,
-                  Instr{Opcode::kAdd, /*dst=*/r, /*a=*/0, /*b=*/0});
-  }
-  Instr sum{Opcode::kAdd, /*dst=*/7, /*a=*/1, /*b=*/2};
-  k.body.insert(k.body.end() - 1, sum);
-  for (int r = 3; r <= 6; ++r) {
-    k.body.insert(k.body.end() - 1,
-                  Instr{Opcode::kAdd, /*dst=*/7, /*a=*/7, /*b=*/r});
-  }
-  k.body.back().a = 7;  // write out the sum
-  const Diagnostics d = analysis::verify_kernel(k, opts);
+  opts.lrf_words = malformed::kTinyLrfWords;
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::six_live_sums(), opts);
   const Diagnostic* g = expect_diag(d, "IR015");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);
@@ -233,16 +179,8 @@ TEST(VerifyIr, LrfPressureBeyondCapacityIsIR015) {
 // ---------------------------------------------------------------------------
 
 TEST(VerifyIr, DeadOverwrittenDefinitionIsIR017) {
-  KernelDef k = skeleton();
-  // r2 is defined at body[1], overwritten at body[2] before any use, and
-  // the second definition IS consumed -- so this is IR017 (dead instance
-  // of a used register), not IR012 (never-read register).
-  k.body.insert(k.body.begin() + 1,
-                Instr{Opcode::kAdd, /*dst=*/2, /*a=*/0, /*b=*/0});
-  k.body.insert(k.body.begin() + 2,
-                Instr{Opcode::kSub, /*dst=*/2, /*a=*/0, /*b=*/0});
-  k.body.back().a = 2;  // write r2
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::overwritten_definition());
   const Diagnostic* g = expect_diag(d, "IR017");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);
@@ -250,16 +188,7 @@ TEST(VerifyIr, DeadOverwrittenDefinitionIsIR017) {
 }
 
 TEST(VerifyIr, RedundantRecomputationIsIR018) {
-  KernelDef k = skeleton();
-  k.n_regs = 16;
-  k.body.insert(k.body.begin() + 1,
-                Instr{Opcode::kAdd, /*dst=*/2, /*a=*/0, /*b=*/0});
-  k.body.insert(k.body.begin() + 2,
-                Instr{Opcode::kAdd, /*dst=*/3, /*a=*/0, /*b=*/0});  // dup
-  k.body.insert(k.body.begin() + 3,
-                Instr{Opcode::kMul, /*dst=*/4, /*a=*/2, /*b=*/3});
-  k.body.back().a = 4;
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::recomputation());
   const Diagnostic* g = expect_diag(d, "IR018");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);  // costs an FPU slot
@@ -269,14 +198,7 @@ TEST(VerifyIr, RedundantRecomputationIsIR018) {
 }
 
 TEST(VerifyIr, ConstantFoldableOpIsIR019) {
-  KernelDef k = skeleton();
-  Instr cst{Opcode::kConst, /*dst=*/1};
-  cst.imm = 2.0;
-  k.body.insert(k.body.begin() + 1, cst);
-  k.body.insert(k.body.begin() + 2,
-                Instr{Opcode::kAdd, /*dst=*/2, /*a=*/1, /*b=*/1});
-  k.body.back().a = 2;
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::foldable_add());
   const Diagnostic* g = expect_diag(d, "IR019");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);  // in the body: paid per iter
@@ -284,13 +206,7 @@ TEST(VerifyIr, ConstantFoldableOpIsIR019) {
 }
 
 TEST(VerifyIr, CopyOfCopyIsIR020) {
-  KernelDef k = skeleton();
-  k.body.insert(k.body.begin() + 1,
-                Instr{Opcode::kMov, /*dst=*/1, /*a=*/0});
-  k.body.insert(k.body.begin() + 2,
-                Instr{Opcode::kMov, /*dst=*/2, /*a=*/1});  // copy of a copy
-  k.body.back().a = 2;
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::copy_of_copy());
   const Diagnostic* g = expect_diag(d, "IR020");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kNote);
@@ -299,11 +215,7 @@ TEST(VerifyIr, CopyOfCopyIsIR020) {
 }
 
 TEST(VerifyIr, StreamReadWhoseWordsAreNeverUsedIsIR021) {
-  KernelDef k = skeleton();
-  k.streams.push_back({"junk", StreamDir::kIn, 2, false});
-  k.body.insert(k.body.begin() + 1,
-                Instr{Opcode::kRead, /*dst=*/4, -1, -1, -1, /*stream=*/2, 2});
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d = analysis::verify_kernel(malformed::unused_read());
   const Diagnostic* g = expect_diag(d, "IR021");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);
@@ -311,36 +223,20 @@ TEST(VerifyIr, StreamReadWhoseWordsAreNeverUsedIsIR021) {
 }
 
 TEST(VerifyIr, ExactLivenessPressureBeyondLrfIsIR022) {
-  // Same shape as the IR015 interval-pressure case: six sums live at once
-  // against a 4-word bound. The exact-liveness count must agree.
-  KernelDef k = skeleton();
+  // The IR015 interval-pressure kernel: the exact-liveness count must
+  // agree that six sums live at once overflow a 4-word bound.
   analysis::VerifyOptions opts;
-  opts.lrf_words = 4;
-  for (int r = 1; r <= 6; ++r) {
-    k.body.insert(k.body.begin() + 1,
-                  Instr{Opcode::kAdd, /*dst=*/r, /*a=*/0, /*b=*/0});
-  }
-  Instr sum{Opcode::kAdd, /*dst=*/7, /*a=*/1, /*b=*/2};
-  k.body.insert(k.body.end() - 1, sum);
-  for (int r = 3; r <= 6; ++r) {
-    k.body.insert(k.body.end() - 1,
-                  Instr{Opcode::kAdd, /*dst=*/7, /*a=*/7, /*b=*/r});
-  }
-  k.body.back().a = 7;
-  const Diagnostics d = analysis::verify_kernel(k, opts);
+  opts.lrf_words = malformed::kTinyLrfWords;
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::six_live_sums(), opts);
   const Diagnostic* g = expect_diag(d, "IR022");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);
 }
 
 TEST(VerifyIr, ConditionalReadOverwritingItsOwnPredicateIsIR023) {
-  KernelDef k = skeleton();
-  k.streams[0].conditional = true;
-  k.prologue.push_back({Opcode::kConst, /*dst=*/0});
-  // Predicate r0 lies inside the destination range [0, 1): a taken read
-  // destroys the predicate the untaken clusters still carry.
-  k.body[0] = {Opcode::kReadCond, /*dst=*/0, -1, -1, /*c=*/0, /*stream=*/0, 1};
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::self_overwriting_read());
   const Diagnostic* g = expect_diag(d, "IR023");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);
@@ -348,13 +244,8 @@ TEST(VerifyIr, ConditionalReadOverwritingItsOwnPredicateIsIR023) {
 }
 
 TEST(VerifyIr, ProvablyConstantPredicateIsIR024) {
-  KernelDef k = skeleton();
-  k.streams[0].conditional = true;
-  Instr pred{Opcode::kConst, /*dst=*/4};
-  pred.imm = 1.0;
-  k.prologue.push_back(pred);
-  k.body[0] = {Opcode::kReadCond, /*dst=*/0, -1, -1, /*c=*/4, /*stream=*/0, 1};
-  const Diagnostics d = analysis::verify_kernel(k);
+  const Diagnostics d =
+      analysis::verify_kernel(malformed::constant_predicate());
   const Diagnostic* g = expect_diag(d, "IR024");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kWarning);

@@ -22,7 +22,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -33,42 +32,21 @@
 #include "src/mem/memsys.h"
 #include "src/sim/config.h"
 #include "src/sim/machine.h"
+#include "tests/fnv1a.h"
 #include "tests/mem_soup.h"
 
 namespace smd {
 namespace {
 
-/// FNV-1a over bytes; integers are fed little-endian so digests do not
-/// depend on the host byte order.
-class Fnv1a {
- public:
-  void str(const std::string& s) {
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
-  }
-  void memory(const mem::GlobalMemory& m) {
-    u64(static_cast<std::uint64_t>(m.size()));
-    for (std::int64_t w = 0; w < m.size(); ++w) {
-      u64(std::bit_cast<std::uint64_t>(m.read(static_cast<std::uint64_t>(w))));
-    }
-  }
-  std::uint64_t value() const { return h_; }
+using golden::Fnv1a;
+using golden::hex;
 
- private:
-  void byte(unsigned char b) {
-    h_ ^= b;
-    h_ *= 1099511628211ULL;  // FNV prime
+/// Feeds a memory image by bit pattern, word count first.
+void hash_memory(Fnv1a& h, const mem::GlobalMemory& m) {
+  h.u64(static_cast<std::uint64_t>(m.size()));
+  for (std::int64_t w = 0; w < m.size(); ++w) {
+    h.u64(std::bit_cast<std::uint64_t>(m.read(static_cast<std::uint64_t>(w))));
   }
-  std::uint64_t h_ = 1469598103934665603ULL;  // FNV offset basis
-};
-
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llxULL",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +114,7 @@ TEST(MemsysGolden, StreamMdVariantsMatchRecordedDigests) {
 
     Fnv1a h;
     h.str(sim::gated_json(run).dump());
-    h.memory(machine.memory());
+    hash_memory(h, machine.memory());
     EXPECT_EQ(hex(h.value()), hex(c.digest))
         << core::variant_name(c.variant) << " / "
         << (c.policy == sim::SdrPolicy::kConservative ? "conservative"
@@ -193,7 +171,7 @@ std::uint64_t soup_digest(int seed, std::string* record) {
   for (const auto& words : loaded) {
     for (const double v : words) h.u64(std::bit_cast<std::uint64_t>(v));
   }
-  h.memory(memory);
+  hash_memory(h, memory);
   return h.value();
 }
 
