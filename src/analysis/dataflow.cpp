@@ -7,6 +7,8 @@
 #include <map>
 #include <tuple>
 
+#include "src/kernel/cost.h"
+
 namespace smd::analysis {
 
 using kernel::Instr;
@@ -30,67 +32,6 @@ bool Bitset::merge(const Bitset& o) {
     }
   }
   return changed;
-}
-
-InstrEffects instr_effects(const Instr& in) {
-  InstrEffects e;
-  switch (in.op) {
-    case Opcode::kConst:
-      e.defs.push_back(in.dst);
-      break;
-    case Opcode::kMov:
-      e.uses.push_back(in.a);
-      e.defs.push_back(in.dst);
-      break;
-    case Opcode::kSqrt:
-    case Opcode::kRsqrt:
-      e.uses.push_back(in.a);
-      e.defs.push_back(in.dst);
-      break;
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kDiv:
-    case Opcode::kCmpEq:
-    case Opcode::kCmpLt:
-      e.uses = {in.a, in.b};
-      e.defs.push_back(in.dst);
-      break;
-    case Opcode::kMadd:
-    case Opcode::kMsub:
-    case Opcode::kSel:
-      e.uses = {in.a, in.b, in.c};
-      e.defs.push_back(in.dst);
-      break;
-    case Opcode::kRead:
-    case Opcode::kReadBcast:
-      for (int w = 0; w < in.count; ++w) e.defs.push_back(in.dst + w);
-      e.stream = true;
-      break;
-    case Opcode::kReadCond:
-      // Untaken clusters keep the previous destination contents: the dst
-      // words are read-modify-write uses and the definition is partial.
-      e.pred = in.c;
-      e.uses.push_back(in.c);
-      for (int w = 0; w < in.count; ++w) {
-        e.uses.push_back(in.dst + w);
-        e.defs.push_back(in.dst + w);
-      }
-      e.partial_def = true;
-      e.stream = true;
-      break;
-    case Opcode::kWrite:
-      for (int w = 0; w < in.count; ++w) e.uses.push_back(in.a + w);
-      e.stream = true;
-      break;
-    case Opcode::kWriteCond:
-      e.pred = in.c;
-      e.uses.push_back(in.c);
-      for (int w = 0; w < in.count; ++w) e.uses.push_back(in.a + w);
-      e.stream = true;
-      break;
-  }
-  return e;
 }
 
 const char* section_name(Section s) {
@@ -192,18 +133,13 @@ bool meet_env(ConstEnv& into, const ConstEnv& from) {
 }  // namespace
 
 void apply_const_transfer(const Instr& in, ConstEnv& env) {
+  const kernel::RegOperands ops = kernel::reg_operands(in);
+  if (kernel::is_stream_op(in.op)) {
+    // Loaded (or, for READ_COND, possibly-loaded) words are unknown.
+    for (int r : ops.defs) env[static_cast<std::size_t>(r)] = std::nullopt;
+    return;
+  }
   switch (in.op) {
-    case Opcode::kRead:
-    case Opcode::kReadBcast:
-    case Opcode::kReadCond:
-      // Loaded (or, for READ_COND, possibly-loaded) words are unknown.
-      for (int w = 0; w < in.count; ++w) {
-        env[static_cast<std::size_t>(in.dst + w)] = std::nullopt;
-      }
-      return;
-    case Opcode::kWrite:
-    case Opcode::kWriteCond:
-      return;
     case Opcode::kConst:
       env[static_cast<std::size_t>(in.dst)] = in.imm;
       return;
@@ -227,16 +163,11 @@ void apply_const_transfer(const Instr& in, ConstEnv& env) {
     default:
       break;
   }
-  const InstrEffects e = instr_effects(in);
+  // The sources are a, b, c in order, as many as the opcode reads.
   double vals[3] = {0.0, 0.0, 0.0};
   bool all_const = true;
-  const int srcs[3] = {in.a, in.b, in.c};
-  for (int i = 0; i < 3; ++i) {
-    if (srcs[i] < 0) continue;
-    bool used = false;
-    for (int u : e.uses) used = used || (u == srcs[i]);
-    if (!used) continue;
-    const ConstVal& v = env[static_cast<std::size_t>(srcs[i])];
+  for (std::size_t i = 0; i < ops.srcs.size(); ++i) {
+    const ConstVal& v = env[static_cast<std::size_t>(ops.srcs[i])];
     if (!v) {
       all_const = false;
       break;
@@ -264,13 +195,12 @@ KernelDataflow::KernelDataflow(const KernelDef& def)
 
 namespace {
 
-/// Backward liveness transfer of one instruction.
+/// Backward liveness transfer of one instruction. A conditional read's
+/// kept words are read as well as written, so they stay live.
 void live_transfer(const Instr& in, Bitset& live) {
-  const InstrEffects e = instr_effects(in);
-  if (!e.partial_def) {
-    for (int d : e.defs) live.reset(d);
-  }
-  for (int u : e.uses) live.set(u);
+  const kernel::RegOperands ops = kernel::reg_operands(in);
+  for (int d : ops.defs) live.reset(d);
+  ops.for_each_read([&](int r) { live.set(r); });
 }
 
 }  // namespace
@@ -375,14 +305,14 @@ void KernelDataflow::run_reaching() {
     defs_of_reg_[static_cast<std::size_t>(r)].push_back(r);
   }
   // ids_by_instr[sec][i] lists this instruction's def ids, parallel to
-  // instr_effects(...).defs.
+  // reg_operands(...).defs.
   std::vector<std::vector<int>> ids_by_instr[4];
   for (Section s : kSectionOrder) {
     const auto& instrs = section_instrs(*def_, s);
     auto& ids = ids_by_instr[static_cast<std::size_t>(s)];
     ids.resize(instrs.size());
     for (std::size_t i = 0; i < instrs.size(); ++i) {
-      for (int d : instr_effects(instrs[i]).defs) {
+      for (int d : kernel::reg_operands(instrs[i]).defs) {
         const int id = static_cast<int>(def_sites_.size());
         def_sites_.push_back({s, static_cast<int>(i), d});
         defs_of_reg_[static_cast<std::size_t>(d)].push_back(id);
@@ -430,9 +360,10 @@ void KernelDataflow::run_reaching() {
           st.reach[i] = cur;
           changed = true;
         }
-        const InstrEffects e = instr_effects(instrs[i]);
-        if (!e.partial_def) {
-          for (int d : e.defs) {
+        // An untaken conditional read keeps its words: it kills nothing.
+        const kernel::RegOperands ops = kernel::reg_operands(instrs[i]);
+        if (ops.kept.empty()) {
+          for (int d : ops.defs) {
             for (int id : defs_of_reg_[static_cast<std::size_t>(d)]) {
               cur.reset(id);
             }
@@ -547,11 +478,12 @@ void KernelDataflow::run_lvn() {
 
     for (std::size_t i = 0; i < instrs.size(); ++i) {
       const Instr& in = instrs[i];
-      const InstrEffects e = instr_effects(in);
-      if (e.stream) {
+      if (kernel::is_stream_op(in.op)) {
         // Stream reads produce fresh unknown values (READ_COND merges, so
         // its destinations are fresh too -- value may or may not change).
-        for (int d : e.defs) vn[static_cast<std::size_t>(d)] = next_vn++;
+        for (int d : kernel::reg_operands(in).defs) {
+          vn[static_cast<std::size_t>(d)] = next_vn++;
+        }
         continue;
       }
       if (in.op == Opcode::kMov) {

@@ -10,15 +10,17 @@
 // which this engine models as a four-node CFG with edges
 //   prologue -> outer_pre -> body -> outer_post -> outer_pre (next round)
 // plus body -> body when block_len > 1. Every analysis below is a
-// fixpoint over that graph, honoring the semantics the interpreter
-// actually implements:
+// fixpoint over that graph. Each instruction's uses and defs come from the
+// kernel IR's operand rule (kernel::reg_operands), which follows the
+// semantics the interpreter actually implements:
 //
 //   * registers are zero-initialized, so the constant lattice starts every
 //     register at the constant 0.0 rather than "unknown";
 //   * READ_COND is a partial kill -- untaken clusters keep the previous
-//     register contents, so its destinations are merge-style uses and its
-//     definitions do not kill prior reaching definitions;
-//   * WRITE_COND kills nothing and additionally reads its predicate.
+//     register contents, so its destinations are kept words: merge-style
+//     uses whose definitions do not kill prior reaching definitions;
+//   * WRITE_COND kills nothing and additionally reads its predicate;
+//   * stream accesses have side effects and are never removable.
 //
 // Provided analyses:
 //   * liveness         -- per-point live sets, exact live ranges, and the
@@ -68,17 +70,6 @@ class Bitset {
   int n_ = 0;
   std::vector<std::uint64_t> words_;
 };
-
-/// Register effects of one instruction, in the interpreter's semantics.
-struct InstrEffects {
-  std::vector<int> uses;  ///< registers read (incl. predicate, merge dsts)
-  std::vector<int> defs;  ///< registers written
-  int pred = -1;          ///< predicate of a conditional access, else -1
-  bool partial_def = false;  ///< defs may not happen (READ_COND merge)
-  bool stream = false;       ///< has stream side effects (never removable)
-};
-
-InstrEffects instr_effects(const kernel::Instr& in);
 
 /// "prologue" / "outer_pre" / "body" / "outer_post".
 const char* section_name(kernel::Section s);

@@ -57,9 +57,13 @@ constexpr OpCost op_cost(Opcode op) {
   return {1, 1};
 }
 
-constexpr bool is_stream_op(Opcode op) {
+constexpr bool is_stream_read(Opcode op) {
   return op == Opcode::kRead || op == Opcode::kReadCond ||
-         op == Opcode::kReadBcast || op == Opcode::kWrite ||
+         op == Opcode::kReadBcast;
+}
+
+constexpr bool is_stream_op(Opcode op) {
+  return is_stream_read(op) || op == Opcode::kWrite ||
          op == Opcode::kWriteCond;
 }
 

@@ -56,7 +56,6 @@ Interpreter::Interpreter(const KernelDef& def, int n_clusters)
       cur_in_(def.streams.size(), 0) {
   // Static pre-flight: bounds, def-before-use, stream-decl conformance and
   // SIMD legality (fatal on error; warnings land in the obs registry).
-  // Subsumes KernelDef::validate().
   analysis::require_valid_kernel(def_);
 }
 

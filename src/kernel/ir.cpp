@@ -1,6 +1,10 @@
 #include "src/kernel/ir.h"
 
-#include <stdexcept>
+#include <algorithm>
+#include <numeric>
+#include <utility>
+
+#include "src/analysis/verify_ir.h"
 
 namespace smd::kernel {
 
@@ -104,103 +108,57 @@ FlopCensus instr_census(const Instr& in) {
   return c;
 }
 
-namespace {
-
-FlopCensus census_of(const std::vector<Instr>& prog) {
+FlopCensus KernelDef::body_census() const {
   FlopCensus c;
-  for (const auto& in : prog) c += instr_census(in);
+  for (const auto& in : body) c += instr_census(in);
   return c;
 }
 
-}  // namespace
-
-FlopCensus KernelDef::body_census() const { return census_of(body); }
-
-FlopCensus KernelDef::outer_census() const {
-  FlopCensus c = census_of(outer_pre);
-  c += census_of(outer_post);
-  return c;
-}
-
-void KernelDef::validate() const {
-  auto check_reg = [&](int r, const char* what) {
-    if (r < 0 || r >= n_regs) {
-      throw std::runtime_error(name + ": register out of range (" + what + ")");
-    }
+RegOperands reg_operands(const Instr& in) {
+  RegOperands o;
+  auto words = [&](int base) {
+    std::vector<int> w(static_cast<std::size_t>(std::max(in.count, 0)));
+    std::iota(w.begin(), w.end(), base);
+    return w;
   };
-  auto check_prog = [&](const std::vector<Instr>& prog) {
-    for (const auto& in : prog) {
-      switch (in.op) {
-        case Opcode::kConst:
-          check_reg(in.dst, "const dst");
-          break;
-        case Opcode::kMov:
-        case Opcode::kSqrt:
-        case Opcode::kRsqrt:
-          check_reg(in.dst, "dst");
-          check_reg(in.a, "a");
-          break;
-        case Opcode::kAdd:
-        case Opcode::kSub:
-        case Opcode::kMul:
-        case Opcode::kDiv:
-        case Opcode::kCmpEq:
-        case Opcode::kCmpLt:
-          check_reg(in.dst, "dst");
-          check_reg(in.a, "a");
-          check_reg(in.b, "b");
-          break;
-        case Opcode::kMadd:
-        case Opcode::kMsub:
-        case Opcode::kSel:
-          check_reg(in.dst, "dst");
-          check_reg(in.a, "a");
-          check_reg(in.b, "b");
-          check_reg(in.c, "c");
-          break;
-        case Opcode::kRead:
-        case Opcode::kReadCond:
-        case Opcode::kReadBcast: {
-          if (in.stream < 0 || in.stream >= static_cast<int>(streams.size()))
-            throw std::runtime_error(name + ": bad stream slot");
-          const auto& s = streams[static_cast<std::size_t>(in.stream)];
-          if (s.dir != StreamDir::kIn)
-            throw std::runtime_error(name + ": read of output stream " + s.name);
-          if (in.count <= 0) throw std::runtime_error(name + ": read count");
-          check_reg(in.dst, "read base");
-          check_reg(in.dst + in.count - 1, "read end");
-          if (in.op == Opcode::kReadCond) check_reg(in.c, "read pred");
-          break;
-        }
-        case Opcode::kWrite:
-        case Opcode::kWriteCond: {
-          if (in.stream < 0 || in.stream >= static_cast<int>(streams.size()))
-            throw std::runtime_error(name + ": bad stream slot");
-          const auto& s = streams[static_cast<std::size_t>(in.stream)];
-          if (s.dir != StreamDir::kOut)
-            throw std::runtime_error(name + ": write of input stream " + s.name);
-          if (in.count <= 0) throw std::runtime_error(name + ": write count");
-          check_reg(in.a, "write base");
-          check_reg(in.a + in.count - 1, "write end");
-          if (in.op == Opcode::kWriteCond) check_reg(in.c, "write pred");
-          break;
-        }
-      }
-    }
-  };
-  check_prog(prologue);
-  check_prog(outer_pre);
-  check_prog(body);
-  check_prog(outer_post);
-  if (block_len < 1) throw std::runtime_error(name + ": block_len < 1");
-  // Broadcast cursor bookkeeping supports one access per stream per body.
-  std::vector<int> bcasts(streams.size(), 0);
-  for (const auto& in : body) {
-    if (in.op == Opcode::kReadBcast &&
-        ++bcasts[static_cast<std::size_t>(in.stream)] > 1) {
-      throw std::runtime_error(name + ": multiple broadcast reads of one stream");
-    }
+  switch (in.op) {
+    case Opcode::kConst:
+      break;
+    case Opcode::kMov:
+    case Opcode::kSqrt:
+    case Opcode::kRsqrt:
+      o.srcs = {in.a};
+      break;
+    case Opcode::kAdd:
+    case Opcode::kSub:
+    case Opcode::kMul:
+    case Opcode::kDiv:
+    case Opcode::kCmpEq:
+    case Opcode::kCmpLt:
+      o.srcs = {in.a, in.b};
+      break;
+    case Opcode::kMadd:
+    case Opcode::kMsub:
+    case Opcode::kSel:
+      o.srcs = {in.a, in.b, in.c};
+      break;
+    case Opcode::kRead:
+    case Opcode::kReadBcast:
+      o.defs = words(in.dst);
+      return o;
+    case Opcode::kReadCond:
+      o.pred = in.c;
+      o.kept = words(in.dst);
+      o.defs = o.kept;
+      return o;
+    case Opcode::kWrite:
+    case Opcode::kWriteCond:
+      if (in.op == Opcode::kWriteCond) o.pred = in.c;
+      o.srcs = words(in.a);
+      return o;
   }
+  o.defs = {in.dst};
+  return o;
 }
 
 KernelBuilder::KernelBuilder(std::string name) { def_.name = std::move(name); }
@@ -339,7 +297,11 @@ void KernelBuilder::write_cond(int stream, Reg base, int n, Reg pred) {
 }
 
 KernelDef KernelBuilder::build() {
-  def_.validate();
+  analysis::VerifyOptions opts;
+  opts.report_pressure = false;
+  opts.dataflow = false;
+  analysis::Diagnostics d = analysis::verify_kernel(def_, opts);
+  if (d.errors() > 0) throw analysis::CheckFailure(std::move(d));
   return def_;
 }
 

@@ -12,12 +12,16 @@
 //   outer_post -- once per block, after its last body iteration (e.g. write
 //                 the reduced central force)
 //
-// The same instruction list serves two purposes:
-//   * the functional interpreter (interp.h) executes it per cluster and
-//     produces bit-accurate double-precision results, including conditional
-//     stream semantics, and
-//   * the VLIW scheduler (schedule.h) builds its dependence graph from it
-//     and derives cycles/iteration, slot occupancy and issue rate.
+// The same instruction list is executed and analysed:
+//   * the functional interpreter (interp.h) and the compiled VM (vm.h)
+//     execute it per cluster and produce bit-accurate double-precision
+//     results, including conditional stream semantics;
+//   * everything else reads it through one operand rule, reg_operands()
+//     below: the verifier (analysis/verify_ir.h, which KernelBuilder::build
+//     runs), the dataflow engine and optimizer (analysis/dataflow.h,
+//     opt.h), and the VLIW scheduler (schedule.h), which builds its
+//     dependence graph from it and derives cycles/iteration, slot
+//     occupancy and issue rate.
 //
 // Conditional stream accesses (READ_COND/WRITE_COND) model Merrimac's
 // conditional-streams mechanism: every cluster issues the access on every
@@ -69,6 +73,28 @@ struct Instr {
   double imm = 0.0; ///< immediate for kConst
 };
 
+/// Which registers one instruction reads and writes, in the interpreter's
+/// semantics: the one operand rule every analysis derives from. Stream
+/// words are the `count` consecutive registers from the base register.
+struct RegOperands {
+  std::vector<int> srcs;  ///< plain sources: a, b, c in that order, or the
+                          ///< words a kWrite* stores
+  int pred = -1;          ///< predicate of a conditional access, else -1
+  std::vector<int> kept;  ///< words a kReadCond keeps when not taken: both
+                          ///< read and written
+  std::vector<int> defs;  ///< registers written (a kReadCond's are `kept`)
+
+  /// Calls f on every register read: pred, then srcs, then kept.
+  template <typename F>
+  void for_each_read(F&& f) const {
+    if (pred >= 0) f(pred);
+    for (const int r : srcs) f(r);
+    for (const int r : kept) f(r);
+  }
+};
+
+RegOperands reg_operands(const Instr& in);
+
 /// Direction of a stream slot as seen by the kernel.
 enum class StreamDir : std::uint8_t { kIn, kOut };
 
@@ -112,12 +138,6 @@ struct KernelDef {
 
   /// Census of one body iteration (conditional accesses counted as taken).
   FlopCensus body_census() const;
-  /// Census of one outer_pre + outer_post pass.
-  FlopCensus outer_census() const;
-
-  /// Structural validation: register indices in range, stream slots match
-  /// declarations and directions, counts positive. Throws on violation.
-  void validate() const;
 };
 
 /// Census of a single instruction.
@@ -178,7 +198,9 @@ class KernelBuilder {
   void write(int stream, Reg base, int n);
   void write_cond(int stream, Reg base, int n, Reg pred);
 
-  /// Finalize; validates the kernel.
+  /// Finalize: runs the IR verifier (analysis::verify_kernel, without the
+  /// pressure note and the dataflow checks) and throws
+  /// analysis::CheckFailure, a std::runtime_error, if it reports errors.
   KernelDef build();
 
  private:

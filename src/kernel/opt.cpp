@@ -13,7 +13,6 @@ namespace {
 
 using analysis::ConstEnv;
 using analysis::DefSite;
-using analysis::InstrEffects;
 using analysis::KernelDataflow;
 using analysis::kSectionOrder;
 
@@ -72,9 +71,8 @@ int fold_constants(KernelDef& def, const KernelDataflow& dfa) {
     for (Instr& in : section_of(def, s)) {
       const Instr before = in;
       if (!is_stream_op(in.op) && op_cost(in.op).fpu_slots > 0) {
-        const InstrEffects fx = analysis::instr_effects(in);
         bool all_const = true;
-        for (int r : fx.uses) {
+        for (int r : reg_operands(in).srcs) {
           all_const = all_const && env[static_cast<std::size_t>(r)].has_value();
         }
         if (all_const) {
@@ -136,9 +134,7 @@ int propagate_copies(KernelDef& def, const KernelDataflow& dfa) {
         bool src_stable = true;
         for (int j = site.instr + 1; j < static_cast<int>(i) && src_stable;
              ++j) {
-          for (int d :
-               analysis::instr_effects(instrs[static_cast<std::size_t>(j)])
-                   .defs) {
+          for (int d : reg_operands(instrs[static_cast<std::size_t>(j)]).defs) {
             if (d == copy.a) src_stable = false;
           }
         }
@@ -206,13 +202,13 @@ int eliminate_dead_stream(KernelDef& def, const KernelDataflow& dfa,
         const Instr& in = instrs[i];
         if (!is_stream_op(in.op) || in.stream != slot) continue;
         ++n_accesses;
-        if (in.op == Opcode::kWrite || in.op == Opcode::kWriteCond) {
+        if (!is_stream_read(in.op)) {
           only_dead_reads = false;
           continue;
         }
         const analysis::Bitset& live = dfa.live_after(s, static_cast<int>(i));
-        for (int w = 0; w < in.count; ++w) {
-          if (live.test(in.dst + w)) only_dead_reads = false;
+        for (int d : reg_operands(in).defs) {
+          if (live.test(d)) only_dead_reads = false;
         }
       }
     }

@@ -62,61 +62,6 @@ Graph build_graph(const KernelDef& def, int unroll) {
   // producer[value] = uop index that defines it (-1 for incoming versions).
   std::map<int, int> producer;
 
-  auto src_regs = [](const Instr& in) {
-    std::vector<int> s;
-    switch (in.op) {
-      case Opcode::kConst: break;
-      case Opcode::kMov:
-      case Opcode::kSqrt:
-      case Opcode::kRsqrt:
-        s = {in.a};
-        break;
-      case Opcode::kAdd:
-      case Opcode::kSub:
-      case Opcode::kMul:
-      case Opcode::kDiv:
-      case Opcode::kCmpEq:
-      case Opcode::kCmpLt:
-        s = {in.a, in.b};
-        break;
-      case Opcode::kMadd:
-      case Opcode::kMsub:
-      case Opcode::kSel:
-        s = {in.a, in.b, in.c};
-        break;
-      case Opcode::kRead:
-      case Opcode::kReadBcast:
-        break;
-      case Opcode::kReadCond:
-        s = {in.c};
-        break;
-      case Opcode::kWrite:
-        for (int w = 0; w < in.count; ++w) s.push_back(in.a + w);
-        break;
-      case Opcode::kWriteCond:
-        for (int w = 0; w < in.count; ++w) s.push_back(in.a + w);
-        s.push_back(in.c);
-        break;
-    }
-    return s;
-  };
-  auto dst_regs = [](const Instr& in) {
-    std::vector<int> d;
-    switch (in.op) {
-      case Opcode::kRead:
-      case Opcode::kReadCond:
-      case Opcode::kReadBcast:
-        for (int w = 0; w < in.count; ++w) d.push_back(in.dst + w);
-        break;
-      case Opcode::kWrite:
-      case Opcode::kWriteCond:
-        break;
-      default:
-        if (in.dst >= 0) d.push_back(in.dst);
-    }
-    return d;
-  };
-
   // First consumers of each incoming value (for carried deps).
   std::map<int, std::vector<int>> incoming_consumers;
   std::map<int, int> last_stream_op;  // stream slot -> uop index
@@ -132,21 +77,18 @@ Graph build_graph(const KernelDef& def, int unroll) {
       u.conditional = is_conditional_stream_op(in.op);
       u.cost = op_cost(in.op);
       u.stream = in.stream;
-      for (int r : src_regs(in)) {
+      const RegOperands ops = reg_operands(in);
+      auto consume = [&](int r) {
         const int v = current[static_cast<std::size_t>(r)];
         u.srcs.push_back(v);
         if (v < def.n_regs) incoming_consumers[v].push_back(static_cast<int>(g.ops.size()));
-      }
+      };
+      for (int r : ops.srcs) consume(r);
+      if (ops.pred >= 0) consume(ops.pred);
       // Conditional reads merge old and new register contents: the untaken
       // path keeps the previous value, so the previous version is a source.
-      if (in.op == Opcode::kReadCond) {
-        for (int w = 0; w < in.count; ++w) {
-          const int v = current[static_cast<std::size_t>(in.dst + w)];
-          u.srcs.push_back(v);
-          if (v < def.n_regs) incoming_consumers[v].push_back(static_cast<int>(g.ops.size()));
-        }
-      }
-      for (int r : dst_regs(in)) {
+      for (int r : ops.kept) consume(r);
+      for (int r : ops.defs) {
         const int v = next_value++;
         current[static_cast<std::size_t>(r)] = v;
         u.dsts.push_back(v);
