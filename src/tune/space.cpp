@@ -115,7 +115,13 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+/// Most values one lo:hi:step range may expand to.
+constexpr std::size_t kMaxRangeValues = 4096;
+
 /// Expand "lo:hi:step" into inclusive values; pass plain values through.
+/// Rejects ranges that would never end or exhaust memory: non-finite
+/// bounds or step, a step too small to change the value, and ranges
+/// longer than kMaxRangeValues.
 std::vector<std::string> expand_range(const std::string& axis,
                                       const std::string& token) {
   const std::vector<std::string> parts = split(token, ':');
@@ -127,12 +133,25 @@ std::vector<std::string> expand_range(const std::string& axis,
   const double lo = parse_double(axis, parts[0]);
   const double hi = parse_double(axis, parts[1]);
   const double step = parse_double(axis, parts[2]);
+  if (!std::isfinite(lo) || !std::isfinite(hi) || !std::isfinite(step)) {
+    throw std::invalid_argument("axis '" + axis + "': non-finite range '" +
+                                token + "'");
+  }
   if (step <= 0.0 || hi < lo) {
     throw std::invalid_argument("axis '" + axis + "': empty range '" + token +
                                 "'");
   }
   std::vector<std::string> out;
   for (double v = lo; v <= hi + 1e-9 * step; v += step) {
+    if (v + step <= v) {
+      throw std::invalid_argument("axis '" + axis + "': step of range '" +
+                                  token + "' does not advance the value");
+    }
+    if (out.size() == kMaxRangeValues) {
+      throw std::invalid_argument(
+          "axis '" + axis + "': range '" + token + "' has more than " +
+          std::to_string(kMaxRangeValues) + " values");
+    }
     const bool integral = axis != "dram_gbps" && axis != "cache_gbps";
     out.push_back(integral
                       ? std::to_string(static_cast<std::int64_t>(

@@ -66,6 +66,26 @@ TEST(Space, ParseRejectsUnknownAxisAndBadValue) {
   EXPECT_FALSE(axis_names().empty());
 }
 
+TEST(Space, ParseRejectsRangesThatNeverEnd) {
+  // A step too small to change the value, non-finite bounds, and a range
+  // too long to hold: each used to loop forever or until std::bad_alloc.
+  const std::string specs[] = {"dram_gbps=1e20:2e20:1", "L=1:inf:1",
+                               "L=-inf:1:1", "L=1:1e12:1"};
+  for (const std::string& spec : specs) {
+    try {
+      ConfigSpace::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      // The error names the axis, as smdtune reports it.
+      const std::string axis = spec.substr(0, spec.find('='));
+      EXPECT_NE(std::string(e.what()).find("axis '" + axis + "'"),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(ConfigSpace::parse("dram_gbps=32:64:16").size(), 3);
+}
+
 TEST(Space, HashIsStableAndSaltSensitive) {
   const Candidate a, b;
   EXPECT_EQ(config_hash(a, kModelVersion), config_hash(b, kModelVersion));
