@@ -18,17 +18,6 @@ using sim::StreamProgram;
 
 std::string slot_str(StreamId s) { return "s" + std::to_string(s); }
 
-const char* mem_op_verb(mem::MemOpKind kind) {
-  switch (kind) {
-    case mem::MemOpKind::kLoadStrided: return "load";
-    case mem::MemOpKind::kLoadGather: return "gather";
-    case mem::MemOpKind::kStoreStrided: return "store";
-    case mem::MemOpKind::kStoreScatter: return "scatter";
-    case mem::MemOpKind::kScatterAdd: return "scatter-add";
-  }
-  return "mem";
-}
-
 bool is_indexed(mem::MemOpKind kind) {
   return kind == mem::MemOpKind::kLoadGather ||
          kind == mem::MemOpKind::kStoreScatter ||
@@ -234,7 +223,7 @@ class StreamChecker {
     is.is_mem = true;
     is.is_store = mem::is_store(desc.kind);
     is.kind = desc.kind;
-    is.label = mem_op_verb(desc.kind);
+    is.label = mem::mem_op_verb(desc.kind);
     if (is_indexed(desc.kind) &&
         static_cast<std::int64_t>(desc.indices.size()) != desc.n_records) {
       out_.error("SP009", at(i),

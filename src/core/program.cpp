@@ -93,14 +93,6 @@ ProblemImage upload_system(mem::GlobalMemory& mem, const md::WaterSystem& sys) {
   return image;
 }
 
-void clear_forces(mem::GlobalMemory& mem, const ProblemImage& image) {
-  const std::int64_t words =
-      static_cast<std::int64_t>(image.n_molecules + 1) * kForceWords;
-  for (std::int64_t w = 0; w < words; ++w) {
-    mem.write(image.force_base + static_cast<std::uint64_t>(w), 0.0);
-  }
-}
-
 sim::StreamProgram build_program(mem::GlobalMemory& mem,
                                  const ProblemImage& image,
                                  const VariantLayout& layout,

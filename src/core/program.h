@@ -43,9 +43,6 @@ struct ProblemImage {
 /// array in the machine's global memory.
 ProblemImage upload_system(mem::GlobalMemory& mem, const md::WaterSystem& sys);
 
-/// Zero the force array (between force evaluations).
-void clear_forces(mem::GlobalMemory& mem, const ProblemImage& image);
-
 /// Build the strip-mined stream program for a variant.
 ///
 /// `energy_base`: when non-zero (expanded variant with the energy kernel,

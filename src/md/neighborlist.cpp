@@ -5,12 +5,6 @@
 
 namespace smd::md {
 
-std::int32_t NeighborList::max_degree() const {
-  std::int32_t best = 0;
-  for (int i = 0; i < n_molecules(); ++i) best = std::max(best, degree(i));
-  return best;
-}
-
 double NeighborList::mean_degree() const {
   if (n_molecules() == 0) return 0.0;
   return static_cast<double>(n_pairs()) / n_molecules();

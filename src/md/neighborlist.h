@@ -36,8 +36,6 @@ struct NeighborList {
     return offsets[static_cast<std::size_t>(mol) + 1] -
            offsets[static_cast<std::size_t>(mol)];
   }
-  /// Largest neighbor count of any molecule.
-  std::int32_t max_degree() const;
   /// Mean neighbor count.
   double mean_degree() const;
 };

@@ -43,9 +43,6 @@ class WaterSystem {
   const std::vector<Vec3>& velocities() const { return vel_; }
   std::vector<Vec3>& velocities() { return vel_; }
 
-  /// Charge of a site (0=O,1=H1,2=H2) in e.
-  double site_charge(int site) const { return model_->sites[site].charge; }
-
   /// Mass of a site in u.
   double site_mass(int site) const { return model_->sites[site].mass; }
 

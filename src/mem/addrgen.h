@@ -27,6 +27,18 @@ constexpr bool is_load(MemOpKind k) {
 }
 constexpr bool is_store(MemOpKind k) { return !is_load(k); }
 
+/// Verb naming an op kind in timeline labels and diagnostics ("gather").
+constexpr const char* mem_op_verb(MemOpKind kind) {
+  switch (kind) {
+    case MemOpKind::kLoadStrided: return "load";
+    case MemOpKind::kLoadGather: return "gather";
+    case MemOpKind::kStoreStrided: return "store";
+    case MemOpKind::kStoreScatter: return "scatter";
+    case MemOpKind::kScatterAdd: return "scatter-add";
+  }
+  return "mem";
+}
+
 /// Descriptor of one stream memory operation (addresses in 64-bit words).
 struct MemOpDesc {
   MemOpKind kind = MemOpKind::kLoadStrided;

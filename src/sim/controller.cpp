@@ -39,17 +39,6 @@ struct InstrState {
   std::uint64_t end = 0;  // kernels: known at start
 };
 
-const char* mem_op_verb(mem::MemOpKind kind) {
-  switch (kind) {
-    case mem::MemOpKind::kLoadStrided: return "load";
-    case mem::MemOpKind::kLoadGather: return "gather";
-    case mem::MemOpKind::kStoreStrided: return "store";
-    case mem::MemOpKind::kStoreScatter: return "scatter";
-    case mem::MemOpKind::kScatterAdd: return "scatter-add";
-  }
-  return "mem";
-}
-
 /// Result of one issue attempt during an issue pass.
 enum class IssueOutcome {
   kIssued,
@@ -339,14 +328,14 @@ class RunContext {
     is.phase = Phase::kRunning;
     ++stats_.n_memory_ops;
     if (const auto* load = std::get_if<LoadOp>(&instr)) {
-      is.label = std::string(mem_op_verb(load->desc.kind)) + " s" +
+      is.label = std::string(mem::mem_op_verb(load->desc.kind)) + " s" +
                  std::to_string(load->dst);
       is.mem_id = memsys_.issue(
           load->desc, &streams_[static_cast<std::size_t>(load->dst)].buffer,
           nullptr);
     } else {
       const auto& store = std::get<StoreOp>(instr);
-      is.label = std::string(mem_op_verb(store.desc.kind)) + " s" +
+      is.label = std::string(mem::mem_op_verb(store.desc.kind)) + " s" +
                  std::to_string(store.src);
       is.mem_id = memsys_.issue(
           store.desc, nullptr,

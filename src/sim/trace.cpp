@@ -159,9 +159,4 @@ obs::Json Timeline::chrome_trace_json(double clock_ghz) const {
   return sink.chrome_json();
 }
 
-void Timeline::write_chrome_trace(const std::string& path,
-                                  double clock_ghz) const {
-  obs::write_file(chrome_trace_json(clock_ghz), path);
-}
-
 }  // namespace smd::sim

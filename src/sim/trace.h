@@ -74,8 +74,6 @@ class Timeline {
 
   /// Single-timeline convenience: a complete Chrome trace document.
   obs::Json chrome_trace_json(double clock_ghz = 1.0) const;
-  void write_chrome_trace(const std::string& path,
-                          double clock_ghz = 1.0) const;
 
  private:
   std::vector<Interval> intervals_;
