@@ -50,6 +50,14 @@ for preset in "${presets[@]}"; do
     echo "==== memory-model golden digests (${preset}) ===="
     ctest --preset "${preset}" -R '^(memsys_golden_test|mem_test)$' \
       --output-on-failure
+    # Kernel-layer gate: the golden digests pin every built-in schedule
+    # and the verifier's diagnostics; kernel_test checks the register
+    # operand rule against the interpreter; analysis_test holds the
+    # per-check diagnostic goldens. Re-run standalone so a schedule or
+    # diagnostic divergence is named in the log.
+    echo "==== kernel-layer golden digests (${preset}) ===="
+    ctest --preset "${preset}" \
+      -R '^(kernel_golden_test|kernel_test|analysis_test)$' --output-on-failure
     # Optimizer equivalence gate (DESIGN.md section 12): the verified
     # optimizer's output must be bit-identical to its input -- full
     # lockstep sweep over the Table-3 variants plus the naive kernel
