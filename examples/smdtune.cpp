@@ -16,9 +16,10 @@
 //
 // --sweep evaluates an arbitrary axis product (see tune/space.h for axis
 // names) on a worker pool and reports the Pareto front over (run time,
-// memory traffic, SRF pressure). Results memoize in --cache: a re-run
-// performs zero simulations (verify via tune.cache.hits in the JSON
-// report's telemetry snapshot).
+// memory traffic, SRF pressure). Candidates that differ only in L where
+// the variant does not read it run once (rows tagged s). Results memoize
+// in --cache: a re-run performs zero simulations (verify via
+// tune.cache.hits in the JSON report's telemetry snapshot).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -195,7 +196,7 @@ int run_sweep(const core::Problem& problem, const std::string& spec,
   const std::vector<std::size_t> front = tune::pareto_front(results);
   std::printf("%s\n", tune::format_results_table(results, front).c_str());
   std::printf("legend: * Pareto-optimal (time, traffic, SRF), c cached, "
-              "p pruned\n\n");
+              "p pruned, s shared (same run as an earlier candidate)\n\n");
 
   const std::size_t best = tune::best_index(results);
   if (best < results.size()) {
@@ -211,11 +212,14 @@ int run_sweep(const core::Problem& problem, const std::string& spec,
                 results[i].metrics.time_ms);
   }
   auto& reg = obs::CounterRegistry::global();
-  std::printf("\ncache: %lld hits, %lld misses; %lld simulated, %lld pruned\n",
-              static_cast<long long>(reg.counter("tune.cache.hits")),
-              static_cast<long long>(reg.counter("tune.cache.misses")),
-              static_cast<long long>(reg.counter("tune.evaluated")),
-              static_cast<long long>(reg.counter("tune.pruned")));
+  std::printf(
+      "\ncache: %lld hits, %lld misses; %lld simulated, %lld shared, "
+      "%lld pruned\n",
+      static_cast<long long>(reg.counter("tune.cache.hits")),
+      static_cast<long long>(reg.counter("tune.cache.misses")),
+      static_cast<long long>(reg.counter("tune.evaluated")),
+      static_cast<long long>(reg.counter("tune.shared")),
+      static_cast<long long>(reg.counter("tune.pruned")));
 
   obs::Json report = tune::report_json(results);
   jout.root().set("mode", "sweep");

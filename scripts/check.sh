@@ -82,6 +82,34 @@ for preset in "${presets[@]}"; do
   "${build_dir[${preset}]}/examples/smdcheck" --dataflow --all
   echo "==== smdtune --paper --jobs 4 (${preset}) ===="
   "${build_dir[${preset}]}/examples/smdtune" --paper --jobs 4 --molecules 256
+  # Run sharing (DESIGN.md section 8): expanded and variable do not read
+  # L, so their L=8 rows copy the L=4 runs. The copies are made after the
+  # pool joins, so the report must not depend on --jobs, and the summary
+  # line must count shared results. Under every preset: tsan included,
+  # because the fan-out sits on the pool's path.
+  echo "==== smdtune --sweep run sharing, --jobs 1 vs 4 (${preset}) ===="
+  share_dir="${build_dir[${preset}]}/tune-share"
+  mkdir -p "${share_dir}"
+  for jobs in 1 4; do
+    "${build_dir[${preset}]}/examples/smdtune" \
+      --sweep "variant=expanded,fixed,variable;L=4,8;unroll=1" \
+      --molecules 64 --jobs "${jobs}" --json "${share_dir}/jobs${jobs}.json" \
+      > "${share_dir}/jobs${jobs}.txt"
+  done
+  if command -v python3 >/dev/null 2>&1; then
+    python3 - "${share_dir}" <<'PYEOF'
+import json, re, sys
+d = sys.argv[1]
+runs = [json.load(open(f"{d}/jobs{j}.json")) for j in (1, 4)]
+for key in ("results", "pareto_front", "best"):
+    assert runs[0][key] == runs[1][key], f"--jobs 1 and 4 differ in {key}"
+for j in (1, 4):
+    m = re.search(r"(\d+) simulated, (\d+) shared", open(f"{d}/jobs{j}.txt").read())
+    assert m and int(m.group(2)) > 0, f"--jobs {j}: no shared results"
+print(f"run sharing: {m.group(1)} simulated, {m.group(2)} shared; "
+      "--jobs 1 and 4 reports identical")
+PYEOF
+  fi
   # Service smoke + property suite (DESIGN.md section 13): payload
   # byte-identity vs. a direct single-threaded run, exactly one
   # simulation per unique config, zero simulations on resubmission, and

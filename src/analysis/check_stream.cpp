@@ -28,26 +28,28 @@ bool is_indexed(mem::MemOpKind kind) {
 using Footprint = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 Footprint footprint_of(const mem::MemOpDesc& desc) {
-  Footprint iv;
-  if (desc.n_records <= 0 || desc.record_words <= 0) return iv;
+  Footprint merged;
+  if (desc.n_records <= 0 || desc.record_words <= 0) return merged;
   const auto rw = static_cast<std::uint64_t>(desc.record_words);
+  // Every record is rw words wide, so ordering the start addresses orders
+  // the [lo, lo + rw) intervals too. Strided ops are already ascending.
+  std::vector<std::uint64_t> starts;
   if (is_indexed(desc.kind)) {
-    iv.reserve(desc.indices.size());
-    for (std::uint64_t idx : desc.indices) {
-      const std::uint64_t lo = desc.base + idx * rw;
-      iv.emplace_back(lo, lo + rw);
-    }
+    starts.reserve(desc.indices.size());
+    for (std::uint64_t idx : desc.indices) starts.push_back(desc.base + idx * rw);
   } else {
     const auto stride = static_cast<std::uint64_t>(
         desc.stride_words == 0 ? desc.record_words : desc.stride_words);
+    starts.reserve(static_cast<std::size_t>(desc.n_records));
     for (std::int64_t r = 0; r < desc.n_records; ++r) {
-      const std::uint64_t lo = desc.base + static_cast<std::uint64_t>(r) * stride;
-      iv.emplace_back(lo, lo + rw);
+      starts.push_back(desc.base + static_cast<std::uint64_t>(r) * stride);
     }
   }
-  std::sort(iv.begin(), iv.end());
-  Footprint merged;
-  for (const auto& [lo, hi] : iv) {
+  if (!std::is_sorted(starts.begin(), starts.end())) {
+    std::sort(starts.begin(), starts.end());
+  }
+  for (const std::uint64_t lo : starts) {
+    const std::uint64_t hi = lo + rw;
     if (!merged.empty() && lo <= merged.back().second) {
       merged.back().second = std::max(merged.back().second, hi);
     } else {

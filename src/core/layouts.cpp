@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <stdexcept>
+#include <string>
 
 namespace smd::core {
 namespace {
@@ -142,6 +143,11 @@ VariantLayout build_fixed_like(Variant variant, const md::WaterSystem& sys,
   const auto dummy_nbr = static_cast<std::uint64_t>(n_mol);
   const auto trash = static_cast<std::uint64_t>(n_mol);
   const int L = opts.fixed_list_length;
+  if (L < 1) {
+    // Blocks of L < 1 neighbors never cover a work unit.
+    throw std::invalid_argument("fixed-list length L = " + std::to_string(L) +
+                                " is below 1");
+  }
   const int C = opts.n_clusters;
   const bool write_fn = (variant == Variant::kFixed);
 
@@ -431,6 +437,10 @@ double VariantLayout::arithmetic_intensity(double flops_per_interaction) const {
   const double flops =
       flops_per_interaction * static_cast<double>(n_computed_interactions);
   return flops / static_cast<double>(memory_words());
+}
+
+bool reads_fixed_list_length(Variant variant) {
+  return variant == Variant::kFixed || variant == Variant::kDuplicated;
 }
 
 VariantLayout build_layout(Variant variant, const md::WaterSystem& sys,

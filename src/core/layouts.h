@@ -99,10 +99,17 @@ struct LayoutOptions {
   std::int64_t srf_words = 131072;
 };
 
-/// Build the layout for a variant from a half neighbor list.
+/// Build the layout for a variant from a half neighbor list. Throws
+/// std::invalid_argument when a variant that reads L gets L < 1.
 VariantLayout build_layout(Variant variant, const md::WaterSystem& sys,
                            const md::NeighborList& half_list,
                            const LayoutOptions& opts = {});
+
+/// Whether a variant's layout (build_layout) and kernel
+/// (build_water_kernel) read the fixed-list length L: true for `fixed` and
+/// `duplicated`. Runs of any other variant are identical at every L, so
+/// the tuner simulates them once per sweep (tune::run_hash).
+bool reads_fixed_list_length(Variant variant);
 
 /// The full (directed) list used by `duplicated`, derived from a half list.
 md::NeighborList make_full_list(const md::NeighborList& half_list);

@@ -110,6 +110,11 @@ JobHandle Server::submit(Request req, ProgressFn progress) {
                       " over the per-request budget of " +
                       std::to_string(opts_.max_molecules));
   }
+  try {
+    tune::check_candidate(req.config);
+  } catch (const std::invalid_argument& e) {
+    return reject(slot, ErrorCode::kBadRequest, e.what());
+  }
   {
     const analysis::Diagnostics diags = req.config.machine().validate();
     if (diags.errors() > 0) {

@@ -178,9 +178,10 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Submit one request. Always returns a handle: rejections (queue
-  /// full, over budget, bad config, shutting down) resolve it
-  /// immediately with the structured error; accepted requests resolve
-  /// when a worker (or a dedup/cache hit) finishes them.
+  /// full, over budget, bad config -- tune::check_candidate or the
+  /// machine validator --, shutting down) resolve it immediately with the
+  /// structured error; accepted requests resolve when a worker (or a
+  /// dedup/cache hit) finishes them.
   JobHandle submit(Request req, ProgressFn progress = nullptr);
 
   /// Resolve a request that never parsed (a parse_request_file entry

@@ -40,6 +40,7 @@ inline const std::vector<MetricInfo>& known_metric_names() {
       {"svc.latency.serialize", "histogram"},
       {"svc.latency.total", "histogram"},
       {"tune.evaluated", "counter"},
+      {"tune.shared", "counter"},
       {"tune.cache.hits", "counter"},
       {"tune.cache.misses", "counter"},
       {"tune.cache.load_corrupt", "counter"},

@@ -31,35 +31,9 @@ tune::Candidate candidate_from_partial_json(const obs::Json& j) {
   tune::Candidate c;
   for (const auto& [key, value] : j.items()) {
     try {
-      if (key == "variant") {
-        c.variant = tune::parse_variant(value.as_string());
-      } else if (key == "L") {
-        c.fixed_list_length = static_cast<int>(value.as_int());
-      } else if (key == "blocking") {
-        c.blocking_cells = static_cast<int>(value.as_int());
-      } else if (key == "sdr") {
-        c.sdr_policy = tune::parse_sdr(value.as_string());
-      } else if (key == "strip") {
-        c.strip_rounds = value.as_int();
-      } else if (key == "unroll") {
-        c.unroll = static_cast<int>(value.as_int());
-      } else if (key == "swp") {
-        c.software_pipeline = value.as_bool();
-      } else if (key == "clusters") {
-        c.n_clusters = static_cast<int>(value.as_int());
-      } else if (key == "srf_kb") {
-        c.srf_kb = value.as_int();
-      } else if (key == "dram_gbps") {
-        c.dram_gbps = value.as_double();
-      } else if (key == "cache_gbps") {
-        c.cache_gbps = value.as_double();
-      } else {
-        throw WireError("unknown config axis '" + key + "'");
-      }
-    } catch (const WireError&) {
-      throw;
+      tune::set_axis(c, key, value);
     } catch (const std::exception& e) {
-      throw WireError("config axis '" + key + "': " + e.what());
+      throw WireError(std::string("config: ") + e.what());
     }
   }
   return c;

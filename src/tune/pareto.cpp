@@ -87,6 +87,7 @@ std::string format_results_table(const std::vector<EvalResult>& results,
     if (on_front) tag += "*";
     if (r.cached) tag += "c";
     if (r.pruned) tag += "p";
+    if (r.shared) tag += "s";
     t.add_row({tag.empty() ? " " : tag, r.cand.label(),
                util::Table::num(r.metrics.time_ms, 3),
                util::Table::num(static_cast<double>(r.metrics.mem_words) / 1e3,
@@ -105,6 +106,7 @@ obs::Json to_json(const EvalResult& r) {
   j.set("label", r.cand.label());
   j.set("cached", r.cached);
   j.set("pruned", r.pruned);
+  j.set("shared", r.shared);
   if (!r.ok()) {
     j.set("error", r.error);
   } else {

@@ -28,7 +28,8 @@ std::size_t best_index(const std::vector<EvalResult>& results);
 std::vector<std::size_t> best_per_variant(
     const std::vector<EvalResult>& results);
 
-/// Human-readable results table; rows on the Pareto front are starred.
+/// Human-readable results table. Tags: * on the Pareto front, c cached,
+/// p pruned, s shared (another candidate's run).
 std::string format_results_table(const std::vector<EvalResult>& results,
                                  const std::vector<std::size_t>& front);
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "src/core/blocking.h"
 #include "src/obs/registry.h"
@@ -88,11 +90,14 @@ Metrics evaluate(const core::Problem& problem, const Candidate& cand,
   }
 
   // Full cycle-accurate path. L and strip length live in the problem
-  // setup; the expensive members (system, neighbor list, reference
-  // forces) don't depend on them, so a shallow copy re-points the knobs.
+  // setup. Changing them means a deep copy of the problem (system,
+  // neighbor list, reference forces), so run on the caller's problem
+  // whenever the knobs the variant reads already match.
   core::VariantResult res;
-  if (cand.fixed_list_length == problem.setup.fixed_list_length &&
-      cand.strip_rounds == problem.setup.strip_rounds) {
+  const bool same_l =
+      !core::reads_fixed_list_length(cand.variant) ||
+      cand.fixed_list_length == problem.setup.fixed_list_length;
+  if (same_l && cand.strip_rounds == problem.setup.strip_rounds) {
     res = core::run_variant(problem, cand.variant, cfg);
   } else {
     core::Problem local = problem;
@@ -202,6 +207,25 @@ std::vector<EvalResult> Runner::run(const std::vector<Candidate>& cands) {
     todo = std::move(kept);
   }
 
+  // ---- One simulation per run hash. --------------------------------------
+  // The first candidate of each group, in candidate order, runs; the rest
+  // copy its result after the join, so the output is the same at any
+  // --jobs.
+  std::vector<std::size_t> runs;
+  std::vector<std::pair<std::size_t, std::size_t>> copies;  // (to, from)
+  {
+    std::unordered_map<std::uint64_t, std::size_t> first;
+    for (const std::size_t idx : todo) {
+      const auto [it, fresh] =
+          first.emplace(run_hash(cands[idx], opts_.salt), idx);
+      if (fresh) {
+        runs.push_back(idx);
+      } else {
+        copies.emplace_back(idx, it->second);
+      }
+    }
+  }
+
   // ---- Parallel evaluation. -----------------------------------------------
   std::atomic<std::size_t> next{0};
   auto worker = [&]() {
@@ -213,8 +237,8 @@ std::vector<EvalResult> Runner::run(const std::vector<Candidate>& cands) {
       obs::ScopedRegistryRedirect redirect(shard);
       while (true) {
         const std::size_t k = next.fetch_add(1);
-        if (k >= todo.size()) break;
-        EvalResult& r = out[todo[k]];
+        if (k >= runs.size()) break;
+        EvalResult& r = out[runs[k]];
         try {
           r.metrics =
               evaluate(problem_, r.cand, opts_.engine, opts_.kernel_backend);
@@ -233,7 +257,7 @@ std::vector<EvalResult> Runner::run(const std::vector<Candidate>& cands) {
   };
 
   const int jobs = std::max(
-      1, std::min<int>(opts_.jobs, static_cast<int>(todo.size())));
+      1, std::min<int>(opts_.jobs, static_cast<int>(runs.size())));
   if (jobs <= 1) {
     worker();
   } else {
@@ -243,7 +267,18 @@ std::vector<EvalResult> Runner::run(const std::vector<Candidate>& cands) {
     for (auto& t : pool) t.join();
   }
 
-  // ---- Fill the cache with the new simulations. ---------------------------
+  for (const auto& [to, from] : copies) {
+    out[to].metrics = out[from].metrics;
+    out[to].error = out[from].error;
+    out[to].shared = true;
+    reg.add("tune.shared");
+    if (opts_.verbose) {
+      std::printf("tune: %-40s shared with candidate %zu\n",
+                  out[to].cand.label().c_str(), from);
+    }
+  }
+
+  // ---- Fill the cache with the new results, shared ones included. --------
   if (cache.enabled()) {
     for (const std::size_t idx : todo) {
       if (out[idx].ok()) cache.insert(out[idx].hash, out[idx].cand,

@@ -13,6 +13,11 @@
 // the blocked-implementation profile) and drops candidates another
 // candidate dominates on both time and traffic by more than the
 // configured slack factor.
+//
+// Candidates that differ only in a knob their variant does not read (L
+// for `expanded` and `variable`) share a run_hash and would simulate bit
+// for bit alike, so each such group runs once: the first candidate of the
+// group, in candidate order, is simulated and the others copy its result.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +57,8 @@ struct EvalResult {
   Metrics metrics;
   bool cached = false;  ///< served from the persistent cache
   bool pruned = false;  ///< analytic pre-pass skipped the simulation
+  /// Copied from an earlier candidate with the same run_hash.
+  bool shared = false;
   std::string error;    ///< non-empty when evaluation failed
 
   bool ok() const { return error.empty(); }
@@ -98,8 +105,9 @@ class Runner {
   Runner(const core::Problem& problem, RunnerOptions opts);
 
   /// Evaluate all candidates; results are index-aligned with the input.
-  /// Registry counters: tune.evaluated, tune.cache.hits, tune.cache.misses,
-  /// tune.pruned, tune.errors.
+  /// Registry counters: tune.evaluated (simulations that succeeded),
+  /// tune.errors (that failed), tune.shared (results copied within a
+  /// run_hash group), tune.cache.hits, tune.cache.misses, tune.pruned.
   std::vector<EvalResult> run(const std::vector<Candidate>& cands);
 
   const RunnerOptions& options() const { return opts_; }

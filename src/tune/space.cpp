@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+
+#include "src/core/layouts.h"
 
 namespace smd::tune {
 namespace {
@@ -14,8 +17,8 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-}  // namespace
-
+/// Axis-value parsing and printing; the parsers throw
+/// std::invalid_argument on unknown names.
 core::Variant parse_variant(const std::string& s) {
   for (core::Variant v :
        {core::Variant::kExpanded, core::Variant::kFixed,
@@ -35,8 +38,6 @@ sim::SdrPolicy parse_sdr(const std::string& s) {
 const char* sdr_name(sim::SdrPolicy p) {
   return p == sim::SdrPolicy::kConservative ? "conservative" : "transfer";
 }
-
-namespace {
 
 std::int64_t parse_int(const std::string& axis, const std::string& s) {
   try {
@@ -72,19 +73,19 @@ void apply(Candidate& c, const std::string& axis, const std::string& value) {
   if (axis == "variant") {
     c.variant = parse_variant(value);
   } else if (axis == "L") {
-    c.fixed_list_length = static_cast<int>(parse_int(axis, value));
+    c.fixed_list_length = check_int_axis(axis, parse_int(axis, value));
   } else if (axis == "blocking") {
-    c.blocking_cells = static_cast<int>(parse_int(axis, value));
+    c.blocking_cells = check_int_axis(axis, parse_int(axis, value));
   } else if (axis == "sdr") {
     c.sdr_policy = parse_sdr(value);
   } else if (axis == "strip") {
     c.strip_rounds = parse_int(axis, value);
   } else if (axis == "unroll") {
-    c.unroll = static_cast<int>(parse_int(axis, value));
+    c.unroll = check_int_axis(axis, parse_int(axis, value));
   } else if (axis == "swp") {
     c.software_pipeline = parse_bool(axis, value);
   } else if (axis == "clusters") {
-    c.n_clusters = static_cast<int>(parse_int(axis, value));
+    c.n_clusters = check_int_axis(axis, parse_int(axis, value));
   } else if (axis == "srf_kb") {
     c.srf_kb = parse_int(axis, value);
   } else if (axis == "dram_gbps") {
@@ -203,8 +204,7 @@ std::string Candidate::key() const {
 std::string Candidate::label() const {
   std::string l = core::variant_name(variant);
   if (blocking_cells > 0) l += " blk=" + std::to_string(blocking_cells);
-  if (variant == core::Variant::kFixed ||
-      variant == core::Variant::kDuplicated) {
+  if (core::reads_fixed_list_length(variant)) {
     l += " L=" + std::to_string(fixed_list_length);
   }
   Candidate base;
@@ -237,18 +237,84 @@ obs::Json Candidate::to_json() const {
 
 Candidate Candidate::from_json(const obs::Json& j) {
   Candidate c;
-  c.variant = parse_variant(j.at("variant").as_string());
-  c.fixed_list_length = static_cast<int>(j.at("L").as_int());
-  c.blocking_cells = static_cast<int>(j.at("blocking").as_int());
-  c.sdr_policy = parse_sdr(j.at("sdr").as_string());
-  c.strip_rounds = j.at("strip").as_int();
-  c.unroll = static_cast<int>(j.at("unroll").as_int());
-  c.software_pipeline = j.at("swp").as_bool();
-  c.n_clusters = static_cast<int>(j.at("clusters").as_int());
-  c.srf_kb = j.at("srf_kb").as_int();
-  c.dram_gbps = j.at("dram_gbps").as_double();
-  c.cache_gbps = j.at("cache_gbps").as_double();
+  for (const std::string& axis : axis_names()) set_axis(c, axis, j.at(axis));
   return c;
+}
+
+int check_int_axis(const std::string& axis, std::int64_t value) {
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("axis '" + axis + "': " +
+                                std::to_string(value) +
+                                " is outside int's range");
+  }
+  if (axis == "L" && value < 1) {
+    throw std::invalid_argument("axis 'L': fixed-list length " +
+                                std::to_string(value) + " is below 1");
+  }
+  return static_cast<int>(value);
+}
+
+void check_candidate(const Candidate& c) {
+  // The other int axes are in range once they are ints.
+  (void)check_int_axis("L", c.fixed_list_length);
+}
+
+void set_axis(Candidate& c, const std::string& axis, const obs::Json& value) {
+  const auto fail = [&axis](const std::string& why) {
+    return std::invalid_argument("axis '" + axis + "': " + why);
+  };
+  const auto number = [&]() {
+    if (!value.is_number()) throw fail("expected a number");
+    return value.as_double();
+  };
+  const auto integer = [&]() {
+    // Range-check the double first: converting one outside the int64
+    // range is undefined behaviour.
+    const double d = number();
+    if (!(d >= -0x1p63 && d < 0x1p63)) {
+      throw fail(fmt_double(d) + " is outside the integer range");
+    }
+    return value.as_int();
+  };
+  const auto text = [&]() {
+    if (!value.is_string()) throw fail("expected a string");
+    return value.as_string();
+  };
+  const auto choice = [&](auto parse) {
+    const std::string s = text();
+    try {
+      return parse(s);
+    } catch (const std::invalid_argument& e) {
+      throw fail(e.what());
+    }
+  };
+  if (axis == "variant") {
+    c.variant = choice(parse_variant);
+  } else if (axis == "L") {
+    c.fixed_list_length = check_int_axis(axis, integer());
+  } else if (axis == "blocking") {
+    c.blocking_cells = check_int_axis(axis, integer());
+  } else if (axis == "sdr") {
+    c.sdr_policy = choice(parse_sdr);
+  } else if (axis == "strip") {
+    c.strip_rounds = integer();
+  } else if (axis == "unroll") {
+    c.unroll = check_int_axis(axis, integer());
+  } else if (axis == "swp") {
+    if (!value.is_bool()) throw fail("expected true or false");
+    c.software_pipeline = value.as_bool();
+  } else if (axis == "clusters") {
+    c.n_clusters = check_int_axis(axis, integer());
+  } else if (axis == "srf_kb") {
+    c.srf_kb = integer();
+  } else if (axis == "dram_gbps") {
+    c.dram_gbps = number();
+  } else if (axis == "cache_gbps") {
+    c.cache_gbps = number();
+  } else {
+    throw std::invalid_argument("unknown axis '" + axis + "'");
+  }
 }
 
 std::uint64_t config_hash(const Candidate& c, const std::string& salt) {
@@ -263,6 +329,13 @@ std::uint64_t config_hash(const Candidate& c, const std::string& salt) {
   mix("#");
   mix(salt);
   return h;
+}
+
+std::uint64_t run_hash(const Candidate& c, const std::string& salt) {
+  if (core::reads_fixed_list_length(c.variant)) return config_hash(c, salt);
+  Candidate run = c;
+  run.fixed_list_length = core::kFixedListLength;
+  return config_hash(run, salt);
 }
 
 std::vector<std::string> axis_names() {

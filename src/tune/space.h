@@ -62,12 +62,27 @@ struct Candidate {
 /// FNV-1a over key() and the salt: stable across runs and platforms.
 std::uint64_t config_hash(const Candidate& c, const std::string& salt = "");
 
-/// Axis-value parsing/printing shared by the sweep parser, the candidate
-/// JSON round-trip and the svc wire format. Throw std::invalid_argument
-/// on unknown names.
-core::Variant parse_variant(const std::string& s);
-sim::SdrPolicy parse_sdr(const std::string& s);
-const char* sdr_name(sim::SdrPolicy p);
+/// The config_hash of the run a candidate simulates: L is set to
+/// core::kFixedListLength when the variant does not read it
+/// (core::reads_fixed_list_length). Candidates with equal run hashes
+/// produce identical metrics, so tune::Runner simulates one per sweep.
+std::uint64_t run_hash(const Candidate& c, const std::string& salt = "");
+
+/// The candidate check. Every parser of a candidate (the sweep spec,
+/// Candidate::from_json, the svc wire) narrows each int axis through it,
+/// and svc::Server::submit re-applies it to a candidate built in code.
+/// Returns `value` as the axis's int; throws std::invalid_argument naming
+/// the axis when the value is outside int's range, or is an L below 1
+/// (blocks of fewer than one neighbor never cover a list).
+int check_int_axis(const std::string& axis, std::int64_t value);
+void check_candidate(const Candidate& c);
+
+/// Set one axis from its JSON value (the member of Candidate::to_json of
+/// the same name). Candidate::from_json and the svc wire both parse
+/// through it. Throws std::invalid_argument starting "axis '<axis>': " on
+/// a value of the wrong type or one the candidate check rejects, and
+/// "unknown axis '<axis>'" on any other name.
+void set_axis(Candidate& c, const std::string& axis, const obs::Json& value);
 
 /// Axis names ConfigSpace::set accepts, in canonical order:
 ///   variant, L, blocking, sdr, strip, unroll, swp, clusters, srf_kb,

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "src/analysis/verify_ir.h"
 #include "src/core/blocking.h"
@@ -204,6 +210,91 @@ TEST(Layouts, FixedPadsToListLength) {
   const VariantLayout lay = build_layout(Variant::kFixed, p.system, p.half_list, {});
   EXPECT_EQ(lay.n_neighbor_slots % kFixedListLength, 0);
   EXPECT_GE(lay.n_neighbor_slots, p.half_list.n_pairs());
+}
+
+TEST(Layouts, FixedListLengthBelowOneThrows) {
+  const Problem& p = small_problem();
+  for (const int L : {0, -3}) {
+    LayoutOptions opts;
+    opts.fixed_list_length = L;
+    for (Variant v : {Variant::kFixed, Variant::kDuplicated}) {
+      EXPECT_THROW(build_layout(v, p.system, p.half_list, opts),
+                   std::invalid_argument)
+          << variant_name(v) << " L=" << L;
+    }
+  }
+}
+
+/// Everything a layout hands the stream program, as text.
+std::string layout_text(const VariantLayout& l) {
+  std::ostringstream os;
+  const auto words = [&os](const char* name, const auto& v) {
+    os << name << ':';
+    for (const auto w : v) {
+      if constexpr (std::is_same_v<decltype(w), const double>) {
+        os << ' ' << std::bit_cast<std::uint64_t>(w);  // exact bits
+      } else {
+        os << ' ' << w;
+      }
+    }
+    os << '\n';
+  };
+  words("central_records", l.central_records);
+  words("neighbor_gather_idx", l.neighbor_gather_idx);
+  words("central_gather_idx", l.central_gather_idx);
+  words("pbc_records", l.pbc_records);
+  words("force_n_scatter_idx", l.force_n_scatter_idx);
+  words("force_c_scatter_idx", l.force_c_scatter_idx);
+  for (const StripSlice& s : l.strips) {
+    os << "strip " << s.round_begin << ' ' << s.round_end << ' '
+       << s.neighbor_begin << ' ' << s.neighbor_end << ' ' << s.central_begin
+       << ' ' << s.central_end << ' ' << s.fc_begin << ' ' << s.fc_end << '\n';
+  }
+  os << "counts " << l.central_record_words << ' ' << l.rounds << ' '
+     << l.n_real_interactions << ' ' << l.n_computed_interactions << ' '
+     << l.n_central_blocks << ' ' << l.n_neighbor_slots << '\n';
+  return os.str();
+}
+
+/// Every instruction and stream declaration of a kernel, as text.
+std::string kernel_text(const kernel::KernelDef& k) {
+  std::ostringstream os;
+  os << k.name << ' ' << k.n_regs << ' ' << k.block_len << '\n';
+  for (const kernel::StreamDecl& d : k.streams) {
+    os << d.name << ' ' << static_cast<int>(d.dir) << ' ' << d.record_words
+       << ' ' << d.conditional << '\n';
+  }
+  for (const auto* section : {&k.prologue, &k.outer_pre, &k.body, &k.outer_post}) {
+    os << "section\n";
+    for (const kernel::Instr& in : *section) {
+      os << kernel::opcode_name(in.op) << ' ' << in.dst << ' ' << in.a << ' '
+         << in.b << ' ' << in.c << ' ' << in.stream << ' ' << in.count << ' '
+         << std::bit_cast<std::uint64_t>(in.imm) << '\n';
+    }
+  }
+  return os.str();
+}
+
+// The rule tune::run_hash shares simulations by: a variant whose layout and
+// kernel do not read L builds the same streams and instructions at every
+// L. Fails the day a variant starts reading L without the rule knowing.
+TEST(Layouts, OnlyFixedLikeVariantsReadTheListLength) {
+  const Problem& p = small_problem();
+  for (Variant v : {Variant::kExpanded, Variant::kFixed, Variant::kVariable,
+                    Variant::kDuplicated}) {
+    LayoutOptions at4;
+    at4.fixed_list_length = 4;
+    LayoutOptions at12;
+    at12.fixed_list_length = 12;
+    const bool same_layout =
+        layout_text(build_layout(v, p.system, p.half_list, at4)) ==
+        layout_text(build_layout(v, p.system, p.half_list, at12));
+    const bool same_kernel =
+        kernel_text(build_water_kernel(v, p.system.model(), 4)) ==
+        kernel_text(build_water_kernel(v, p.system.model(), 12));
+    EXPECT_EQ(same_layout, !reads_fixed_list_length(v)) << variant_name(v);
+    EXPECT_EQ(same_kernel, !reads_fixed_list_length(v)) << variant_name(v);
+  }
 }
 
 /// The paper's full-scale dataset (900 molecules, r_c = 1 nm, mean degree

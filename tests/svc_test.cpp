@@ -281,6 +281,53 @@ TEST(Server, MalformedBatchElementIsOneBadRequest) {
   EXPECT_EQ(d.completed, 1);
 }
 
+// L < 1 used to spin a worker past any deadline (build_fixed_like never
+// ended), and int axes wrapped around (clusters=4294967312 ran as 16).
+// Both are now one bad_request each, and the rest of the batch is served.
+TEST(Server, ShortListAndWrappedAxisAreBadRequests) {
+  const obs::Json batch = obs::Json::parse(R"({"schema_version":2,"requests":[
+      {"id":"bad","config":{"variant":"fixed","L":0},"n_molecules":32,
+       "timeout_ms":2000},
+      {"id":"wrap","config":{"clusters":4294967312},"n_molecules":16},
+      {"id":"good","config":{"variant":"fixed","L":4},"n_molecules":16}]})");
+  const std::vector<BatchEntry> entries = parse_request_file(batch);
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_NE(entries[0].error.find("axis 'L'"), std::string::npos)
+      << entries[0].error;
+  EXPECT_NE(entries[1].error.find("axis 'clusters'"), std::string::npos)
+      << entries[1].error;
+  EXPECT_EQ(entries[2].error, "");
+
+  CounterProbe probe;
+  ServerOptions opts;
+  opts.workers = 1;
+  Server server(opts);
+  std::vector<JobHandle> handles;
+  for (const BatchEntry& e : entries) {
+    handles.push_back(e.error.empty()
+                          ? server.submit(e.request)
+                          : server.reject_malformed(e.request.id, e.error));
+  }
+  // A candidate built in code meets the same check in submit().
+  Request direct = small_request("direct", core::Variant::kDuplicated);
+  direct.config.fixed_list_length = 0;
+  handles.push_back(server.submit(direct));
+  server.drain();
+
+  EXPECT_EQ(handles[0].wait().error, ErrorCode::kBadRequest);
+  EXPECT_EQ(handles[1].wait().error, ErrorCode::kBadRequest);
+  EXPECT_EQ(handles[2].wait().error, ErrorCode::kOk);
+  const Response& r = handles[3].wait();
+  EXPECT_EQ(r.error, ErrorCode::kBadRequest);
+  EXPECT_NE(r.message.find("axis 'L'"), std::string::npos) << r.message;
+
+  const Deltas d = probe.delta();
+  EXPECT_EQ(d.submitted, 4);
+  EXPECT_EQ(d.rejected, 3);
+  EXPECT_EQ(d.completed, 1);
+  EXPECT_EQ(d.simulated, 1);
+}
+
 // ---- Correctness: payload identity and dedup. -----------------------------
 
 TEST(Server, PayloadMatchesDirectSingleThreadedRun) {

@@ -12,6 +12,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/blocking.h"
@@ -84,6 +85,73 @@ TEST(Space, ParseRejectsRangesThatNeverEnd) {
     }
   }
   EXPECT_EQ(ConfigSpace::parse("dram_gbps=32:64:16").size(), 3);
+}
+
+// L < 1 used to spin build_fixed_like forever, and int axes wrapped
+// around (clusters=4294967312 ran as 16 clusters). The candidate check
+// rejects both in every parser, naming the axis.
+TEST(Space, CandidateCheckRejectsShortListsAndWrappedInts) {
+  const std::pair<std::string, std::string> specs[] = {
+      {"variant=fixed;L=0", "L"},
+      {"L=-3", "L"},
+      {"variant=duplicated;L=0", "L"},
+      {"clusters=4294967312", "clusters"},
+      {"unroll=-2147483649", "unroll"},
+      {"blocking=9999999999", "blocking"}};
+  for (const auto& [spec, axis] : specs) {
+    try {
+      ConfigSpace::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("axis '" + axis + "'"),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(ConfigSpace::parse("L=1;clusters=2147483647").size(), 1);
+
+  EXPECT_EQ(check_int_axis("L", 1), 1);
+  EXPECT_THROW(check_int_axis("L", 0), std::invalid_argument);
+  EXPECT_THROW(check_int_axis("clusters", 4294967312LL),
+               std::invalid_argument);
+  EXPECT_EQ(check_int_axis("blocking", 0), 0);
+
+  Candidate c;
+  EXPECT_NO_THROW(check_candidate(c));
+  c.fixed_list_length = 0;
+  EXPECT_THROW(check_candidate(c), std::invalid_argument);
+
+  // Candidate::from_json goes through the same check.
+  for (const auto& [axis, value] :
+       {std::pair<std::string, double>{"L", 0.0}, {"clusters", 4294967312.0},
+        {"unroll", 1e30}}) {
+    obs::Json j = Candidate{}.to_json();
+    j.set(axis, value);
+    EXPECT_THROW(Candidate::from_json(j), std::invalid_argument) << axis;
+  }
+  obs::Json wrong_type = Candidate{}.to_json();
+  wrong_type.set("variant", 3);
+  EXPECT_THROW(Candidate::from_json(wrong_type), std::invalid_argument);
+}
+
+TEST(Space, RunHashIgnoresLOnlyWhereNoRunReadsIt) {
+  for (const core::Variant v :
+       {core::Variant::kExpanded, core::Variant::kFixed,
+        core::Variant::kVariable, core::Variant::kDuplicated}) {
+    Candidate a;
+    a.variant = v;
+    a.fixed_list_length = 4;
+    Candidate b = a;
+    b.fixed_list_length = 12;
+    EXPECT_NE(config_hash(a), config_hash(b));
+    const bool reads = core::reads_fixed_list_length(v);
+    EXPECT_EQ(run_hash(a) != run_hash(b), reads) << core::variant_name(v);
+    EXPECT_EQ(a.label() != b.label(), reads) << core::variant_name(v);
+    // At the default L the run hash is the config hash.
+    Candidate d;
+    d.variant = v;
+    EXPECT_EQ(run_hash(d, kModelVersion), config_hash(d, kModelVersion));
+  }
 }
 
 TEST(Space, HashIsStableAndSaltSensitive) {
@@ -237,6 +305,119 @@ TEST(Golden, CacheRerunBitIdenticalAndJobsInvariant) {
   const std::vector<EvalResult> jobs4 = Runner(problem, par).run(cands);
   EXPECT_EQ(results_fingerprint(cold), results_fingerprint(jobs4));
   std::remove(path.c_str());
+}
+
+// Candidates that differ only in L where the variant does not read it
+// run once per sweep; every other member copies the first one's result.
+TEST(Runner, SharesRunsThatDifferOnlyInUnreadL) {
+  const std::vector<Candidate> cands =
+      ConfigSpace::parse("variant=expanded,fixed,variable;L=4,8;unroll=1")
+          .enumerate();
+  ASSERT_EQ(cands.size(), 6u);
+  const core::Problem& problem = problem_with(64);
+  auto& reg = obs::CounterRegistry::process();
+
+  RunnerOptions opts;
+  opts.jobs = 1;
+  const std::int64_t evaluated0 = reg.counter("tune.evaluated");
+  const std::int64_t shared0 = reg.counter("tune.shared");
+  const std::vector<EvalResult> serial = Runner(problem, opts).run(cands);
+  EXPECT_EQ(reg.counter("tune.evaluated") - evaluated0, 4);
+  EXPECT_EQ(reg.counter("tune.shared") - shared0, 2);
+
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_TRUE(serial[i].ok()) << serial[i].error;
+    EXPECT_FALSE(serial[i].cached || serial[i].pruned);
+    // expanded L=8 and variable L=8 copy the L=4 runs; fixed runs twice.
+    EXPECT_EQ(serial[i].shared,
+              !core::reads_fixed_list_length(cands[i].variant) &&
+                  cands[i].fixed_list_length == 8)
+        << cands[i].key();
+    EXPECT_EQ(serial[i].hash, config_hash(cands[i], kModelVersion));
+    // Each result is its own candidate's direct evaluation, byte for byte.
+    EXPECT_EQ(serial[i].metrics.to_json().dump(),
+              evaluate(problem, cands[i]).to_json().dump())
+        << cands[i].key();
+  }
+  EXPECT_NE(to_json(serial[1]).dump().find("\"shared\":true"),
+            std::string::npos);
+
+  for (const int jobs : {2, 4}) {
+    RunnerOptions par;
+    par.jobs = jobs;
+    EXPECT_EQ(results_fingerprint(Runner(problem, par).run(cands)),
+              results_fingerprint(serial))
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(Runner, FailingGroupSharesItsError) {
+  // Two expanded candidates on an invalid machine: one run, one error,
+  // copied to the other member.
+  std::vector<Candidate> cands(2);
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    cands[i].variant = core::Variant::kExpanded;
+    cands[i].fixed_list_length = i == 0 ? 4 : 12;
+    cands[i].n_clusters = 0;
+  }
+  auto& reg = obs::CounterRegistry::process();
+  const std::int64_t errors0 = reg.counter("tune.errors");
+  const std::int64_t shared0 = reg.counter("tune.shared");
+  RunnerOptions opts;
+  opts.jobs = 2;
+  const std::vector<EvalResult> rs = Runner(problem_with(64), opts).run(cands);
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_FALSE(rs[0].ok());
+  EXPECT_FALSE(rs[0].shared);
+  EXPECT_TRUE(rs[1].shared);
+  EXPECT_EQ(rs[1].error, rs[0].error);
+  EXPECT_EQ(reg.counter("tune.errors") - errors0, 1);
+  EXPECT_EQ(reg.counter("tune.shared") - shared0, 1);
+}
+
+TEST(Runner, SharedResultsLandInTheCacheUnderTheirOwnHash) {
+  const std::string path = testing::TempDir() + "/tune_test_shared.json";
+  std::remove(path.c_str());
+  const std::vector<Candidate> cands =
+      ConfigSpace::parse("variant=expanded,fixed,variable;L=4,8;unroll=1")
+          .enumerate();
+  const core::Problem& problem = problem_with(64);
+  auto& reg = obs::CounterRegistry::process();
+  RunnerOptions opts;
+  opts.jobs = 2;
+  opts.cache_path = path;
+  const std::vector<EvalResult> cold = Runner(problem, opts).run(cands);
+
+  ResultCache cache(path, opts.salt);
+  EXPECT_EQ(cache.load(), cands.size());
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    Metrics m;
+    ASSERT_TRUE(cache.lookup(config_hash(cands[i], opts.salt), &m))
+        << cands[i].key();
+    EXPECT_EQ(m.to_json().dump(), cold[i].metrics.to_json().dump());
+  }
+
+  const std::int64_t hits0 = reg.counter("tune.cache.hits");
+  const std::int64_t evaluated0 = reg.counter("tune.evaluated");
+  const std::int64_t shared0 = reg.counter("tune.shared");
+  const std::vector<EvalResult> warm = Runner(problem, opts).run(cands);
+  EXPECT_EQ(reg.counter("tune.cache.hits") - hits0,
+            static_cast<std::int64_t>(cands.size()));
+  EXPECT_EQ(reg.counter("tune.evaluated") - evaluated0, 0);
+  EXPECT_EQ(reg.counter("tune.shared") - shared0, 0);
+  for (const EvalResult& r : warm) EXPECT_TRUE(r.cached && !r.shared);
+  std::remove(path.c_str());
+}
+
+TEST(Runner, ShortFixedListIsAnErrorNotAHang) {
+  Candidate c;
+  c.variant = core::Variant::kFixed;
+  c.fixed_list_length = 0;
+  EXPECT_THROW(evaluate(problem_with(64), c), std::invalid_argument);
+  const std::vector<EvalResult> rs =
+      Runner(problem_with(64), RunnerOptions{}).run({c});
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_NE(rs[0].error.find("below 1"), std::string::npos) << rs[0].error;
 }
 
 TEST(Cache, SaltMismatchDiscardsAndCorruptFileIsEmpty) {
