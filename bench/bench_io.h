@@ -7,7 +7,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,6 +18,7 @@
 #include "src/core/schema.h"
 #include "src/obs/json.h"
 #include "src/sim/config.h"
+#include "src/util/range.h"
 
 namespace smd::benchio {
 
@@ -26,6 +29,14 @@ inline std::string flag_value(int argc, char** argv, const std::string& name) {
     if (argv[i] == flag) return argv[i + 1];
   }
   return "";
+}
+
+/// Whether the boolean flag `flag` (with its dashes) appears in argv.
+inline bool has_flag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return true;
+  }
+  return false;
 }
 
 /// Uniform CLI argument-error exit shared by the smd* drivers: one
@@ -106,8 +117,9 @@ inline double double_flag_or_exit(int argc, char** argv, const char* tool,
 }
 
 /// Parse "a,b,c" and "lo:hi:step" (inclusive ends) value lists -- the same
-/// syntax smdtune sweep axes use, so humans and the tuner drive the bench
-/// binaries uniformly. Throws std::invalid_argument on malformed input.
+/// syntax and range bounds smdtune sweep axes use (util::expand_range), so
+/// humans and the tuner drive the bench binaries uniformly. Throws
+/// std::invalid_argument on malformed input.
 inline std::vector<double> parse_value_list(const std::string& spec) {
   std::vector<double> out;
   std::size_t start = 0;
@@ -116,21 +128,10 @@ inline std::vector<double> parse_value_list(const std::string& spec) {
     if (end == std::string::npos) end = spec.size();
     const std::string token = spec.substr(start, end - start);
     if (token.empty()) throw std::invalid_argument("empty value in '" + spec + "'");
-    const std::size_t c1 = token.find(':');
-    if (c1 == std::string::npos) {
+    if (token.find(':') == std::string::npos) {
       out.push_back(std::stod(token));
     } else {
-      const std::size_t c2 = token.find(':', c1 + 1);
-      if (c2 == std::string::npos) {
-        throw std::invalid_argument("bad range '" + token + "' (want lo:hi:step)");
-      }
-      const double lo = std::stod(token.substr(0, c1));
-      const double hi = std::stod(token.substr(c1 + 1, c2 - c1 - 1));
-      const double step = std::stod(token.substr(c2 + 1));
-      if (step <= 0.0 || hi < lo) {
-        throw std::invalid_argument("empty range '" + token + "'");
-      }
-      for (double v = lo; v <= hi + 1e-9 * step; v += step) out.push_back(v);
+      for (const double v : util::expand_range(token)) out.push_back(v);
     }
     start = end + 1;
   }
@@ -171,10 +172,16 @@ inline std::string kernel_backend_flag(int argc, char** argv) {
   return v;
 }
 
-/// parse_value_list, rounded to int.
+/// parse_value_list, rounded to int; a value outside int's range throws.
 inline std::vector<int> parse_int_list(const std::string& spec) {
   std::vector<int> out;
   for (const double v : parse_value_list(spec)) {
+    if (!(v >= std::numeric_limits<int>::min() &&
+          v <= std::numeric_limits<int>::max())) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.6g is outside int's range", v);
+      throw std::invalid_argument(buf);
+    }
     out.push_back(static_cast<int>(v + (v >= 0 ? 0.5 : -0.5)));
   }
   return out;

@@ -54,13 +54,6 @@ using namespace smd;
 
 namespace {
 
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
 struct Experiment {
   core::ExperimentSetup setup;
   core::Problem problem;
@@ -346,9 +339,9 @@ int main(int argc, char** argv) {
     const std::string record =
         benchio::flag_value(argc, argv, "record-baseline");
     const std::string check = benchio::flag_value(argc, argv, "check-baseline");
-    const bool explain = has_flag(argc, argv, "--explain");
-    const bool roofline = has_flag(argc, argv, "--roofline");
-    const bool scaling = has_flag(argc, argv, "--scaling");
+    const bool explain = benchio::has_flag(argc, argv, "--explain");
+    const bool roofline = benchio::has_flag(argc, argv, "--roofline");
+    const bool scaling = benchio::has_flag(argc, argv, "--scaling");
     if (!explain && !roofline && !scaling && record.empty() && check.empty()) {
       std::fprintf(stderr,
                    "usage: smdprof --explain | --roofline | --scaling | "

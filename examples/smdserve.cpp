@@ -43,7 +43,6 @@
 //      zero additional simulations (in-memory memo / persistent cache).
 // Exit status is non-zero on any payload mismatch or counter violation.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -63,13 +62,6 @@
 using namespace smd;
 
 namespace {
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 void print_response_row(const svc::Response& r) {
   std::printf("%-10s %-18s %-6s %016llx %9.3f ms  %s\n", r.id.c_str(),
@@ -486,7 +478,7 @@ int main(int argc, char** argv) {
     if (!requests.empty()) {
       return run_requests(requests, opts, tele, jout);
     }
-    if (has_flag(argc, argv, "--demo")) {
+    if (benchio::has_flag(argc, argv, "--demo")) {
       const int n_molecules =
           benchio::molecules_or_exit(argc, argv, "smdserve", 64, kUsage)
               .front();

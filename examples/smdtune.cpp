@@ -21,7 +21,6 @@
 // in --cache: a re-run performs zero simulations (verify via
 // tune.cache.hits in the JSON report's telemetry snapshot).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -38,13 +37,6 @@
 using namespace smd;
 
 namespace {
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 const tune::EvalResult* find_variant(const std::vector<tune::EvalResult>& rs,
                                      core::Variant v) {
@@ -249,7 +241,7 @@ int main(int argc, char** argv) {
                        {"--paper", "--list-axes", "--verbose"});
   benchio::JsonOut jout(argc, argv, "smdtune");
 
-  if (has_flag(argc, argv, "--list-axes")) {
+  if (benchio::has_flag(argc, argv, "--list-axes")) {
     std::printf("sweep axes (axis=v1,v2 or axis=lo:hi:step, ';'-separated):\n");
     for (const auto& a : tune::axis_names()) std::printf("  %s\n", a.c_str());
     return 0;
@@ -259,7 +251,7 @@ int main(int argc, char** argv) {
   ropts.jobs = benchio::int_flag_or_exit(argc, argv, "smdtune", "jobs", 1,
                                          kUsage);
   ropts.cache_path = benchio::flag_value(argc, argv, "cache");
-  ropts.verbose = has_flag(argc, argv, "--verbose");
+  ropts.verbose = benchio::has_flag(argc, argv, "--verbose");
   ropts.prune_slack = benchio::double_flag_or_exit(argc, argv, "smdtune",
                                                    "prune", ropts.prune_slack,
                                                    kUsage);
@@ -274,7 +266,7 @@ int main(int argc, char** argv) {
 
   const std::string spec = benchio::flag_value(argc, argv, "sweep");
   try {
-    if (has_flag(argc, argv, "--paper")) {
+    if (benchio::has_flag(argc, argv, "--paper")) {
       return run_paper(problem, ropts, jout);
     }
     if (!spec.empty()) {

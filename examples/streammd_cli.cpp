@@ -4,7 +4,7 @@
 //     --variant NAME     expanded | fixed | variable | duplicated | all
 //     --molecules N      water molecules              (default 900)
 //     --cutoff RC        cutoff radius in nm          (default 1.0)
-//     --seed S           dataset seed                 (default 42)
+//     --seed S           dataset seed, below 2^31     (default 42)
 //     --list-length L    fixed-list length            (default 8)
 //     --clusters C       arithmetic clusters          (default 16)
 //     --sdr-conservative use the flawed (Figure 7a) SDR allocation
@@ -17,9 +17,9 @@
 //
 // Prints the Figure 8/9-style metrics for the requested run(s) and exits
 // non-zero if any variant fails force validation.
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,70 +32,75 @@ using namespace smd;
 
 namespace {
 
+constexpr const char* kTool = "streammd_cli";
 constexpr const char* kUsage =
     "streammd_cli [--variant NAME] [--molecules N] [--cutoff RC] [--seed S] "
     "[--list-length L] [--clusters C] [--sdr-conservative] [--unroll U] "
     "[--timeline] [--json PATH] [--trace PATH]";
 
-void usage() { std::fprintf(stderr, "usage: %s\n", kUsage); }
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string variant = "all";
-  bool timeline = false;
-  std::string json_path;
-  std::string trace_path;
-  core::ExperimentSetup setup;
-  sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-
+  const auto value_flags = {"--variant", "--molecules",   "--cutoff",
+                            "--seed",    "--list-length", "--clusters",
+                            "--unroll",  "--json",        "--trace"};
+  benchio::check_flags(argc, argv, kTool, kUsage, value_flags,
+                       {"--sdr-conservative", "--timeline", "--help"});
+  // check_flags leaves tokens without "--" to the tool; this one takes
+  // none besides -h.
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--variant") {
-      variant = next();
-    } else if (arg == "--molecules") {
-      next();  // read below by benchio::molecules_or_exit
-    } else if (arg == "--cutoff") {
-      setup.cutoff = std::atof(next());
-    } else if (arg == "--seed") {
-      setup.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--list-length") {
-      setup.fixed_list_length = std::atoi(next());
-    } else if (arg == "--clusters") {
-      cfg.n_clusters = std::atoi(next());
-    } else if (arg == "--sdr-conservative") {
-      cfg.sdr_policy = sim::SdrPolicy::kConservative;
-    } else if (arg == "--unroll") {
-      cfg.sched.unroll = std::atoi(next());
-    } else if (arg == "--timeline") {
-      timeline = true;
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--trace") {
-      trace_path = next();
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
+    if (arg == "--help" || arg == "-h") {
+      std::printf("usage: %s\n", kUsage);
       return 0;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage();
-      return 2;
+    }
+    if (arg.rfind("--", 0) != 0) {
+      benchio::usage_error(kTool, "unexpected argument '" + arg + "'", kUsage);
+    }
+    if (std::find(value_flags.begin(), value_flags.end(), arg) !=
+        value_flags.end()) {
+      ++i;  // the flag's value
     }
   }
-  setup.n_molecules = benchio::molecules_or_exit(
-      argc, argv, "streammd_cli", setup.n_molecules, kUsage).front();
-  if (setup.n_molecules < 2 || setup.cutoff <= 0.0 ||
-      setup.fixed_list_length < 1 || cfg.n_clusters < 1) {
+
+  core::ExperimentSetup setup;
+  setup.n_molecules =
+      benchio::molecules_or_exit(argc, argv, kTool, setup.n_molecules, kUsage)
+          .front();
+  setup.cutoff = benchio::double_flag_or_exit(argc, argv, kTool, "cutoff",
+                                              setup.cutoff, kUsage);
+  const int seed = benchio::int_flag_or_exit(
+      argc, argv, kTool, "seed", static_cast<int>(setup.seed), kUsage);
+  if (seed < 0) benchio::usage_error(kTool, "--seed: must be >= 0", kUsage);
+  setup.seed = static_cast<std::uint64_t>(seed);
+  setup.fixed_list_length = benchio::int_flag_or_exit(
+      argc, argv, kTool, "list-length", setup.fixed_list_length, kUsage);
+  if (setup.n_molecules < 2 || !std::isfinite(setup.cutoff) ||
+      setup.cutoff <= 0.0 || setup.fixed_list_length < 1) {
     std::fprintf(stderr, "invalid parameter values\n");
     return 2;
   }
+
+  sim::MachineConfig cfg = sim::MachineConfig::merrimac();
+  cfg.n_clusters = benchio::int_flag_or_exit(argc, argv, kTool, "clusters",
+                                             cfg.n_clusters, kUsage);
+  cfg.sched.unroll = benchio::int_flag_or_exit(argc, argv, kTool, "unroll",
+                                               cfg.sched.unroll, kUsage);
+  if (benchio::has_flag(argc, argv, "--sdr-conservative")) {
+    cfg.sdr_policy = sim::SdrPolicy::kConservative;
+  }
+  const analysis::Diagnostics diags = cfg.validate();
+  if (diags.errors() > 0) {
+    std::fprintf(stderr, "%s: invalid machine config:\n%s", kTool,
+                 diags.format().c_str());
+    return 2;
+  }
+
+  const std::string variant_flag = benchio::flag_value(argc, argv, "variant");
+  const std::string variant = variant_flag.empty() ? "all" : variant_flag;
+  const bool timeline = benchio::has_flag(argc, argv, "--timeline");
+  const std::string json_path = benchio::flag_value(argc, argv, "json");
+  const std::string trace_path = benchio::flag_value(argc, argv, "trace");
 
   std::vector<core::Variant> variants;
   if (variant == "all") {

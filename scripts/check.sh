@@ -11,9 +11,10 @@
 # Each preset also runs `smdcheck --all` (the static verifier over every
 # built-in kernel, stream program and blocking scheme — see DESIGN.md
 # "Static checking"), `smdcheck --dataflow --all` (exact liveness
-# pressure vs. the dynamic replay oracle), the optimizer equivalence
-# sweep (bit-identity of optimized kernels, DESIGN.md section 12) and
-# `smdtune --paper --jobs 4` (the parallel design-space search
+# pressure vs. the dynamic replay oracle), `smdcheck --opt-report` (every
+# optimized kernel re-verifies and schedules no worse), the optimizer
+# equivalence sweep (bit-identity of optimized kernels, DESIGN.md section
+# 12) and `smdtune --paper --jobs 4` (the parallel design-space search
 # reproducing the paper's tuned points — see EXPERIMENTS.md
 # "Design-space exploration"); the default preset also builds hostbench/
 # and runs each of its workloads for one second. clang-tidy, when
@@ -80,6 +81,10 @@ for preset in "${presets[@]}"; do
   "${build_dir[${preset}]}/examples/smdcheck" --all
   echo "==== smdcheck --dataflow --all (${preset}) ===="
   "${build_dir[${preset}]}/examples/smdcheck" --dataflow --all
+  # Optimizer report (DESIGN.md section 12): every optimized built-in
+  # kernel must re-verify cleanly and schedule no worse than its input.
+  echo "==== smdcheck --opt-report (${preset}) ===="
+  "${build_dir[${preset}]}/examples/smdcheck" --opt-report
   echo "==== smdtune --paper --jobs 4 (${preset}) ===="
   "${build_dir[${preset}]}/examples/smdtune" --paper --jobs 4 --molecules 256
   # Run sharing (DESIGN.md section 8): expanded and variable do not read

@@ -99,21 +99,21 @@ std::vector<SlotTraffic> kernel_guaranteed_traffic(const kernel::KernelDef& def,
       }
       auto& t = traffic[static_cast<std::size_t>(in.stream)];
       if (repeat > 0) t.may_access = true;
+      const kernel::OpInfo& info = kernel::op_info(in.op);
+      if (info.conditional) continue;
       const std::int64_t words = static_cast<std::int64_t>(in.count) * repeat;
-      switch (in.op) {
-        case kernel::Opcode::kRead:
+      switch (info.stream) {
+        case kernel::StreamAccess::kNone:
+          break;
+        case kernel::StreamAccess::kRead:
           t.read_words += words * n_clusters;
           break;
-        case kernel::Opcode::kReadBcast:
+        case kernel::StreamAccess::kBcastRead:
           // One fetch fanned out through the inter-cluster switch.
           t.read_words += words;
           break;
-        case kernel::Opcode::kWrite:
+        case kernel::StreamAccess::kWrite:
           t.write_words += words * n_clusters;
-          break;
-        case kernel::Opcode::kReadCond:
-        case kernel::Opcode::kWriteCond:
-        default:
           break;
       }
     }

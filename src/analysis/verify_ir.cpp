@@ -405,7 +405,7 @@ class Verifier {
                         "); a taken access clobbers its own predicate");
         }
 
-        if ((in.op == Opcode::kReadCond || in.op == Opcode::kWriteCond) &&
+        if (kernel::is_conditional_stream_op(in.op) &&
             env[static_cast<std::size_t>(in.c)].has_value()) {
           const double p = *env[static_cast<std::size_t>(in.c)];
           out_.warn("IR024", at(sec, idx),

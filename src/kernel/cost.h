@@ -8,67 +8,27 @@
 // reason sustained "solution" GFLOPS is far below the 128 GFLOPS peak.
 //
 // MOV/CONST are handled by the intra-cluster switch and preloaded
-// microcode immediates; they cost no FPU slot.
+// microcode immediates; they cost no FPU slot. The numbers are rows of
+// kOpTable (ir.h); the functions below read them.
 #pragma once
 
 #include "src/kernel/ir.h"
 
 namespace smd::kernel {
 
-struct OpCost {
-  int fpu_slots;  ///< consecutive issue slots on one FPU (0 = no FPU use)
-  int latency;    ///< cycles until the result may be consumed
-};
-
-constexpr OpCost op_cost(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kMadd:
-    case Opcode::kMsub:
-      return {1, 4};
-    case Opcode::kCmpEq:
-    case Opcode::kCmpLt:
-      return {1, 2};
-    case Opcode::kSel:
-      return {1, 1};
-    case Opcode::kDiv:
-      // Double-precision Newton-Raphson reciprocal: seed + 4 iterations
-      // (the MADD datapath has no wide seed table) + rounding fix-up.
-      return {14, 20};
-    case Opcode::kSqrt:
-    case Opcode::kRsqrt:
-      // Double-precision reciprocal square root: seed + 4 NR iterations of
-      // 3 fused ops + correction.
-      return {16, 24};
-    case Opcode::kConst:
-    case Opcode::kMov:
-      return {0, 1};
-    case Opcode::kRead:
-    case Opcode::kReadCond:
-      return {0, 3};    // SRF access; bandwidth modeled separately
-    case Opcode::kReadBcast:
-      return {0, 4};    // SRF access + inter-cluster switch traversal
-    case Opcode::kWrite:
-    case Opcode::kWriteCond:
-      return {0, 1};
-  }
-  return {1, 1};
-}
+constexpr OpCost op_cost(Opcode op) { return op_info(op).cost; }
 
 constexpr bool is_stream_read(Opcode op) {
-  return op == Opcode::kRead || op == Opcode::kReadCond ||
-         op == Opcode::kReadBcast;
+  const StreamAccess s = op_info(op).stream;
+  return s == StreamAccess::kRead || s == StreamAccess::kBcastRead;
 }
 
 constexpr bool is_stream_op(Opcode op) {
-  return is_stream_read(op) || op == Opcode::kWrite ||
-         op == Opcode::kWriteCond;
+  return op_info(op).stream != StreamAccess::kNone;
 }
 
 constexpr bool is_conditional_stream_op(Opcode op) {
-  return op == Opcode::kReadCond || op == Opcode::kWriteCond;
+  return op_info(op).conditional;
 }
 
 }  // namespace smd::kernel

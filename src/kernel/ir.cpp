@@ -8,30 +8,6 @@
 
 namespace smd::kernel {
 
-const char* opcode_name(Opcode op) {
-  switch (op) {
-    case Opcode::kConst: return "CONST";
-    case Opcode::kMov: return "MOV";
-    case Opcode::kAdd: return "ADD";
-    case Opcode::kSub: return "SUB";
-    case Opcode::kMul: return "MUL";
-    case Opcode::kMadd: return "MADD";
-    case Opcode::kMsub: return "MSUB";
-    case Opcode::kDiv: return "DIV";
-    case Opcode::kSqrt: return "SQRT";
-    case Opcode::kRsqrt: return "RSQRT";
-    case Opcode::kCmpEq: return "CMPEQ";
-    case Opcode::kCmpLt: return "CMPLT";
-    case Opcode::kSel: return "SEL";
-    case Opcode::kRead: return "READ";
-    case Opcode::kReadCond: return "READC";
-    case Opcode::kReadBcast: return "READB";
-    case Opcode::kWrite: return "WRITE";
-    case Opcode::kWriteCond: return "WRITEC";
-  }
-  return "?";
-}
-
 FlopCensus& FlopCensus::operator+=(const FlopCensus& o) {
   flops += o.flops;
   divides += o.divides;
@@ -54,56 +30,18 @@ obs::Json to_json(const FlopCensus& c) {
 }
 
 FlopCensus instr_census(const Instr& in) {
+  const OpInfo& info = op_info(in.op);
   FlopCensus c;
-  switch (in.op) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-      c.flops = 1;
-      c.fpu_ops = 1;
-      break;
-    case Opcode::kMadd:
-    case Opcode::kMsub:
-      c.flops = 2;
-      c.fpu_ops = 1;
-      break;
-    case Opcode::kDiv:
-      c.flops = 1;
-      c.divides = 1;
-      c.fpu_ops = 1;
-      break;
-    case Opcode::kSqrt:
-      c.flops = 1;
-      c.square_roots = 1;
-      c.fpu_ops = 1;
-      break;
-    case Opcode::kRsqrt:
-      // Paper convention: rinv = 1/sqrt(r2) is "1 divide + 1 square root".
-      c.flops = 2;
-      c.divides = 1;
-      c.square_roots = 1;
-      c.fpu_ops = 1;
-      break;
-    case Opcode::kCmpEq:
-    case Opcode::kCmpLt:
-    case Opcode::kSel:
-      // Not counted as solution flops, but they occupy FPU issue slots.
-      c.fpu_ops = 1;
-      break;
-    case Opcode::kConst:
-    case Opcode::kMov:
-      break;  // handled by the cluster switch / preloaded constants
-    case Opcode::kRead:
-    case Opcode::kReadCond:
-    case Opcode::kReadBcast:
-      // For kReadBcast this is the per-iteration SRF traffic; the record
-      // is fanned out to all clusters by the switch, not re-read.
-      c.words_read = in.count;
-      break;
-    case Opcode::kWrite:
-    case Opcode::kWriteCond:
-      c.words_written = in.count;
-      break;
+  c.flops = info.flops;
+  c.divides = info.divides;
+  c.square_roots = info.square_roots;
+  c.fpu_ops = info.cost.fpu_slots > 0 ? 1 : 0;
+  // For kReadBcast this is the per-iteration SRF traffic; the record is
+  // fanned out to all clusters by the switch, not re-read.
+  if (info.stream == StreamAccess::kWrite) {
+    c.words_written = in.count;
+  } else if (info.stream != StreamAccess::kNone) {
+    c.words_read = in.count;
   }
   return c;
 }
@@ -115,49 +53,29 @@ FlopCensus KernelDef::body_census() const {
 }
 
 RegOperands reg_operands(const Instr& in) {
+  const OpInfo& info = op_info(in.op);
   RegOperands o;
+  const int srcs[] = {in.a, in.b, in.c};
+  o.srcs.assign(srcs, srcs + info.n_srcs);
+  if (info.conditional) o.pred = in.c;
   auto words = [&](int base) {
     std::vector<int> w(static_cast<std::size_t>(std::max(in.count, 0)));
     std::iota(w.begin(), w.end(), base);
     return w;
   };
-  switch (in.op) {
-    case Opcode::kConst:
+  switch (info.stream) {
+    case StreamAccess::kNone:
+      o.defs = {in.dst};
       break;
-    case Opcode::kMov:
-    case Opcode::kSqrt:
-    case Opcode::kRsqrt:
-      o.srcs = {in.a};
-      break;
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kDiv:
-    case Opcode::kCmpEq:
-    case Opcode::kCmpLt:
-      o.srcs = {in.a, in.b};
-      break;
-    case Opcode::kMadd:
-    case Opcode::kMsub:
-    case Opcode::kSel:
-      o.srcs = {in.a, in.b, in.c};
-      break;
-    case Opcode::kRead:
-    case Opcode::kReadBcast:
+    case StreamAccess::kRead:
+    case StreamAccess::kBcastRead:
       o.defs = words(in.dst);
-      return o;
-    case Opcode::kReadCond:
-      o.pred = in.c;
-      o.kept = words(in.dst);
-      o.defs = o.kept;
-      return o;
-    case Opcode::kWrite:
-    case Opcode::kWriteCond:
-      if (in.op == Opcode::kWriteCond) o.pred = in.c;
+      if (info.conditional) o.kept = o.defs;
+      break;
+    case StreamAccess::kWrite:
       o.srcs = words(in.a);
-      return o;
+      break;
   }
-  o.defs = {in.dst};
   return o;
 }
 

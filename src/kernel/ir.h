@@ -12,6 +12,12 @@
 //   outer_post -- once per block, after its last body iteration (e.g. write
 //                 the reduced central force)
 //
+// Every per-opcode fact (mnemonic, sources, stream access, FPU cost, flop
+// census) is one row of kOpTable below; everything that asks about an
+// opcode reads it. Only code that executes an opcode switches on it: the
+// interpreter (the oracle), the VM's dispatch handlers and dataflow's
+// constant folding and transfer, which copy the interpreter's arithmetic.
+//
 // The same instruction list is executed and analysed:
 //   * the functional interpreter (interp.h) and the compiled VM (vm.h)
 //     execute it per cluster and produce bit-accurate double-precision
@@ -29,7 +35,9 @@
 // consume/produce an element; the inter-cluster switch compacts the stream.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -57,9 +65,83 @@ enum class Opcode : std::uint8_t {
               // switch broadcast); the cursor advances once per iteration
   kWrite,     // append regs[a..a+count) to stream
   kWriteCond, // as kWrite but only when (c != 0)
+  kLast = kWriteCond,  // keep on the last opcode: kOpTable's row count
 };
 
-const char* opcode_name(Opcode op);
+/// How an opcode moves words between its stream slot and the LRF.
+enum class StreamAccess : std::uint8_t {
+  kNone,       ///< no stream access
+  kRead,       ///< `count` words of the slot into regs[dst..dst+count)
+  kBcastRead,  ///< as kRead, one record fanned out to every cluster
+  kWrite,      ///< regs[a..a+count) appended to the slot
+};
+
+/// Issue cost of one operation on a cluster's MADD FPUs (cost.h).
+struct OpCost {
+  int fpu_slots;  ///< consecutive issue slots on one FPU (0 = no FPU use)
+  int latency;    ///< cycles until the result may be consumed
+};
+
+/// One row of kOpTable.
+struct OpInfo {
+  Opcode op;
+  const char* name;     ///< mnemonic in diagnostics and schedules
+  int n_srcs;           ///< plain register sources: a, b, c in that order
+  StreamAccess stream;
+  bool conditional;     ///< the access happens only when register c != 0
+  OpCost cost;
+  int flops;            ///< solution flops, in the paper's convention
+  int divides;
+  int square_roots;
+};
+
+/// Every per-opcode fact, one row per Opcode in enum order. The FPU costs
+/// follow the cluster model in cost.h. The compares and SEL take an FPU
+/// slot but are not solution flops; instr_census counts every instruction
+/// with an FPU slot in FlopCensus::fpu_ops.
+inline constexpr OpInfo kOpTable[] = {
+    // op, name, srcs, stream, conditional, {fpu_slots, latency}, flops,
+    // divides, square_roots
+    {Opcode::kConst,     "CONST",  0, StreamAccess::kNone,      false, {0, 1},   0, 0, 0},
+    {Opcode::kMov,       "MOV",    1, StreamAccess::kNone,      false, {0, 1},   0, 0, 0},
+    {Opcode::kAdd,       "ADD",    2, StreamAccess::kNone,      false, {1, 4},   1, 0, 0},
+    {Opcode::kSub,       "SUB",    2, StreamAccess::kNone,      false, {1, 4},   1, 0, 0},
+    {Opcode::kMul,       "MUL",    2, StreamAccess::kNone,      false, {1, 4},   1, 0, 0},
+    {Opcode::kMadd,      "MADD",   3, StreamAccess::kNone,      false, {1, 4},   2, 0, 0},
+    {Opcode::kMsub,      "MSUB",   3, StreamAccess::kNone,      false, {1, 4},   2, 0, 0},
+    // Newton-Raphson reciprocal: seed + 4 iterations (the MADD datapath
+    // has no wide seed table) + rounding fix-up.
+    {Opcode::kDiv,       "DIV",    2, StreamAccess::kNone,      false, {14, 20}, 1, 1, 0},
+    // Reciprocal square root: seed + 4 iterations of 3 fused ops +
+    // correction. RSQRT counts as 1 divide + 1 square root (the paper).
+    {Opcode::kSqrt,      "SQRT",   1, StreamAccess::kNone,      false, {16, 24}, 1, 0, 1},
+    {Opcode::kRsqrt,     "RSQRT",  1, StreamAccess::kNone,      false, {16, 24}, 2, 1, 1},
+    {Opcode::kCmpEq,     "CMPEQ",  2, StreamAccess::kNone,      false, {1, 2},   0, 0, 0},
+    {Opcode::kCmpLt,     "CMPLT",  2, StreamAccess::kNone,      false, {1, 2},   0, 0, 0},
+    {Opcode::kSel,       "SEL",    3, StreamAccess::kNone,      false, {1, 1},   0, 0, 0},
+    // SRF accesses; the scheduler models their bandwidth. A broadcast
+    // also crosses the inter-cluster switch.
+    {Opcode::kRead,      "READ",   0, StreamAccess::kRead,      false, {0, 3},   0, 0, 0},
+    {Opcode::kReadCond,  "READC",  0, StreamAccess::kRead,      true,  {0, 3},   0, 0, 0},
+    {Opcode::kReadBcast, "READB",  0, StreamAccess::kBcastRead, false, {0, 4},   0, 0, 0},
+    {Opcode::kWrite,     "WRITE",  0, StreamAccess::kWrite,     false, {0, 1},   0, 0, 0},
+    {Opcode::kWriteCond, "WRITEC", 0, StreamAccess::kWrite,     true,  {0, 1},   0, 0, 0},
+};
+
+constexpr bool op_table_matches_enum() {
+  for (std::size_t i = 0; i < std::size(kOpTable); ++i) {
+    if (kOpTable[i].op != static_cast<Opcode>(i)) return false;
+  }
+  return std::size(kOpTable) == static_cast<std::size_t>(Opcode::kLast) + 1;
+}
+static_assert(op_table_matches_enum(),
+              "kOpTable needs one row per Opcode, in enum order");
+
+constexpr const OpInfo& op_info(Opcode op) {
+  return kOpTable[static_cast<std::size_t>(op)];
+}
+
+constexpr const char* opcode_name(Opcode op) { return op_info(op).name; }
 
 /// One IR instruction. Field use depends on the opcode; unused fields -1/0.
 struct Instr {

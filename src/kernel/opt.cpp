@@ -31,36 +31,15 @@ std::vector<Instr>& section_of(KernelDef& def, Section s) {
 }
 
 /// Operand fields of `in` that may legally be redirected by copy
-/// propagation: arithmetic sources and conditional-access predicates.
-/// Stream base registers (kRead dst, kWrite a) address CONSECUTIVE
-/// registers and are never rewritten.
+/// propagation: the operand rule's plain sources and a conditional
+/// access's predicate. Stream base registers (kRead dst, kWrite a) address
+/// CONSECUTIVE registers and are never rewritten.
 std::vector<int*> rewritable_operands(Instr& in) {
-  switch (in.op) {
-    case Opcode::kMov:
-    case Opcode::kSqrt:
-    case Opcode::kRsqrt:
-      return {&in.a};
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kMul:
-    case Opcode::kDiv:
-    case Opcode::kCmpEq:
-    case Opcode::kCmpLt:
-      return {&in.a, &in.b};
-    case Opcode::kMadd:
-    case Opcode::kMsub:
-    case Opcode::kSel:
-      return {&in.a, &in.b, &in.c};
-    case Opcode::kReadCond:
-    case Opcode::kWriteCond:
-      return {&in.c};
-    case Opcode::kConst:
-    case Opcode::kRead:
-    case Opcode::kReadBcast:
-    case Opcode::kWrite:
-      return {};
-  }
-  return {};
+  const OpInfo& info = op_info(in.op);
+  int* const srcs[] = {&in.a, &in.b, &in.c};
+  std::vector<int*> out(srcs, srcs + info.n_srcs);
+  if (info.conditional) out.push_back(&in.c);
+  return out;
 }
 
 /// Constant folding + kSel predicate resolution over one whole kernel.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/analysis/verify_ir.h"
-#include "src/kernel/cost.h"
 
 // Threaded-code dispatch (GNU address-of-label computed goto) with a
 // portable switch fallback. Define SMD_KERNEL_VM_NO_COMPUTED_GOTO to force
@@ -122,72 +121,51 @@ void CompiledKernel::lower_section(const KernelDef& def,
   };
 
   for (const Instr& in : prog) {
+    const OpInfo& info = op_info(in.op);
     VmOp op;
     op.code = static_cast<std::uint8_t>(in.op);
     op.count = in.count;
     op.imm = in.imm;
-    switch (in.op) {
-      case Opcode::kConst:
-        op.dst = reg(in.dst, 1);
-        sec.lrf_refs += 1;
-        break;
-      case Opcode::kMov:
-      case Opcode::kSqrt:
-      case Opcode::kRsqrt:
-        op.dst = reg(in.dst, 1);
-        op.a = reg(in.a, 1);
-        sec.lrf_refs += 2;
-        break;
-      case Opcode::kAdd:
-      case Opcode::kSub:
-      case Opcode::kMul:
-      case Opcode::kDiv:
-      case Opcode::kCmpEq:
-      case Opcode::kCmpLt:
-        op.dst = reg(in.dst, 1);
-        op.a = reg(in.a, 1);
-        op.b = reg(in.b, 1);
-        sec.lrf_refs += 3;
-        break;
-      case Opcode::kMadd:
-      case Opcode::kMsub:
-      case Opcode::kSel:
-        op.dst = reg(in.dst, 1);
-        op.a = reg(in.a, 1);
-        op.b = reg(in.b, 1);
-        op.c = reg(in.c, 1);
-        sec.lrf_refs += 4;
-        break;
-      case Opcode::kRead:
-        op.stream = slot(in.stream);
-        op.dst = reg(in.dst, in.count);
-        sec.lrf_refs += in.count;
-        sec.srf_read_words += in.count;
-        break;
-      case Opcode::kReadBcast:
-        op.stream = slot(in.stream);
-        op.dst = reg(in.dst, in.count);
-        sec.lrf_refs += in.count;
-        sec.bcast_read_words += in.count;
-        break;
-      case Opcode::kReadCond:
-        op.stream = slot(in.stream);
-        op.dst = reg(in.dst, in.count);
-        op.c = reg(in.c, 1);
-        break;  // census is data-dependent (tallied when taken)
-      case Opcode::kWrite:
-        op.stream = slot(in.stream);
+    // The first bad index is the one reported: dst, then the plain
+    // sources a, b, c; for a stream access the slot, the base register,
+    // then the predicate.
+    if (info.stream == StreamAccess::kNone) {
+      op.dst = reg(in.dst, 1);
+      const int srcs[] = {in.a, in.b, in.c};
+      std::int32_t* const fields[] = {&op.a, &op.b, &op.c};
+      for (int k = 0; k < info.n_srcs; ++k) *fields[k] = reg(srcs[k], 1);
+    } else {
+      op.stream = slot(in.stream);
+      if (info.stream == StreamAccess::kWrite) {
         op.a = reg(in.a, in.count);
-        sec.lrf_refs += in.count;
-        sec.srf_write_words += in.count;
-        break;
-      case Opcode::kWriteCond:
-        op.stream = slot(in.stream);
-        op.a = reg(in.a, in.count);
-        op.c = reg(in.c, 1);
-        break;  // census is data-dependent (tallied when taken)
+      } else {
+        op.dst = reg(in.dst, in.count);
+      }
+      if (info.conditional) op.c = reg(in.c, 1);
     }
-    if (!is_stream_op(in.op)) sec.census += instr_census(in);
+    // The static census: one LRF reference per register the operand rule
+    // lists. A conditional access's census is data-dependent (tallied
+    // when taken).
+    if (!info.conditional) {
+      switch (info.stream) {
+        case StreamAccess::kNone:
+          sec.lrf_refs += 1 + info.n_srcs;
+          sec.census += instr_census(in);
+          break;
+        case StreamAccess::kRead:
+          sec.lrf_refs += in.count;
+          sec.srf_read_words += in.count;
+          break;
+        case StreamAccess::kBcastRead:
+          sec.lrf_refs += in.count;
+          sec.bcast_read_words += in.count;
+          break;
+        case StreamAccess::kWrite:
+          sec.lrf_refs += in.count;
+          sec.srf_write_words += in.count;
+          break;
+      }
+    }
     ops_.push_back(op);
   }
   sec.end = static_cast<std::int32_t>(ops_.size());

@@ -361,7 +361,14 @@ bool Json::as_bool() const { return std::get<bool>(value_); }
 double Json::as_double() const { return std::get<Number>(value_).value; }
 
 std::int64_t Json::as_int() const {
-  return static_cast<std::int64_t>(std::get<Number>(value_).value);
+  const double v = std::get<Number>(value_).value;
+  // Converting a double outside the int64 range is undefined behaviour.
+  if (!(v >= -0x1p63 && v < 0x1p63)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6g is outside the integer range", v);
+    throw std::out_of_range(buf);
+  }
+  return static_cast<std::int64_t>(v);
 }
 
 const std::string& Json::as_string() const {

@@ -64,6 +64,8 @@ class Json {
 
   bool as_bool() const;
   double as_double() const;
+  /// The number truncated toward zero; throws std::out_of_range when it is
+  /// not finite or lies outside int64_t.
   std::int64_t as_int() const;
   const std::string& as_string() const;
 

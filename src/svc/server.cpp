@@ -16,6 +16,13 @@ bool slot_dead(const RequestSlot& slot, std::int64_t now_ns) {
          now_ns > slot.deadline_ns;
 }
 
+/// Whether a timeout of `timeout_ms` from `t_ns` ends within int64
+/// nanoseconds.
+bool deadline_fits(std::int64_t t_ns, std::int64_t timeout_ms) {
+  return timeout_ms <=
+         (std::numeric_limits<std::int64_t>::max() - t_ns) / 1'000'000;
+}
+
 }  // namespace
 
 // ---- ProblemPool ----------------------------------------------------------
@@ -78,7 +85,7 @@ std::shared_ptr<RequestSlot> Server::open_slot(Request& req,
   slot->t_submit_ns = obs::monotonic_ns();  // boundary b0
   slot->ctx = span_log_.make_root();
   slot->deadline_ns =
-      req.timeout_ms > 0
+      req.timeout_ms > 0 && deadline_fits(slot->t_submit_ns, req.timeout_ms)
           ? slot->t_submit_ns + req.timeout_ms * 1'000'000
           : std::numeric_limits<std::int64_t>::max();
   slot->progress = std::move(progress);
@@ -101,6 +108,11 @@ JobHandle Server::submit(Request req, ProgressFn progress) {
   const auto slot = open_slot(req, std::move(progress));
 
   // Structured rejections, cheapest first; none of these consume a worker.
+  if (req.timeout_ms > 0 && !deadline_fits(slot->t_submit_ns, req.timeout_ms)) {
+    return reject(slot, ErrorCode::kBadRequest,
+                  "timeout_ms " + std::to_string(req.timeout_ms) +
+                      " puts the deadline past the int64 nanosecond clock");
+  }
   if (req.n_molecules <= 0) {
     return reject(slot, ErrorCode::kBadRequest, "n_molecules must be positive");
   }

@@ -1,6 +1,8 @@
 #include "src/svc/wire.h"
 
 #include <array>
+#include <limits>
+#include <stdexcept>
 
 #include "src/tune/cache.h"
 
@@ -69,15 +71,24 @@ Request Request::from_json(const obs::Json& j) {
   if (!j.is_object()) throw WireError("request must be a JSON object");
   Request r;
   for (const auto& [key, value] : j.items()) {
+    // Narrows an int field; the catch below names the field.
+    const auto to_int = [&value] {
+      const std::int64_t v = value.as_int();
+      if (v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max()) {
+        throw std::out_of_range(std::to_string(v) + " is outside int's range");
+      }
+      return static_cast<int>(v);
+    };
     try {
       if (key == "id") {
         r.id = value.as_string();
       } else if (key == "config") {
         r.config = candidate_from_partial_json(value);
       } else if (key == "n_molecules") {
-        r.n_molecules = static_cast<int>(value.as_int());
+        r.n_molecules = to_int();
       } else if (key == "priority") {
-        r.priority = static_cast<int>(value.as_int());
+        r.priority = to_int();
       } else if (key == "timeout_ms") {
         r.timeout_ms = value.as_int();
       } else {

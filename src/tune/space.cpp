@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "src/core/layouts.h"
+#include "src/util/range.h"
 
 namespace smd::tune {
 namespace {
@@ -116,48 +117,25 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-/// Most values one lo:hi:step range may expand to.
-constexpr std::size_t kMaxRangeValues = 4096;
-
-/// Expand "lo:hi:step" into inclusive values; pass plain values through.
-/// Rejects ranges that would never end or exhaust memory: non-finite
-/// bounds or step, a step too small to change the value, and ranges
-/// longer than kMaxRangeValues.
+/// Expand "lo:hi:step" into inclusive values (util::expand_range, whose
+/// bounds it shares with the bench drivers); pass plain values through.
 std::vector<std::string> expand_range(const std::string& axis,
                                       const std::string& token) {
-  const std::vector<std::string> parts = split(token, ':');
-  if (parts.size() == 1) return {token};
-  if (parts.size() != 3 || !numeric_axis(axis)) {
+  if (token.find(':') == std::string::npos) return {token};
+  if (!numeric_axis(axis)) {
     throw std::invalid_argument("axis '" + axis + "': bad range '" + token +
                                 "' (want lo:hi:step)");
   }
-  const double lo = parse_double(axis, parts[0]);
-  const double hi = parse_double(axis, parts[1]);
-  const double step = parse_double(axis, parts[2]);
-  if (!std::isfinite(lo) || !std::isfinite(hi) || !std::isfinite(step)) {
-    throw std::invalid_argument("axis '" + axis + "': non-finite range '" +
-                                token + "'");
+  std::vector<double> values;
+  try {
+    values = util::expand_range(token);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("axis '" + axis + "': " + e.what());
   }
-  if (step <= 0.0 || hi < lo) {
-    throw std::invalid_argument("axis '" + axis + "': empty range '" + token +
-                                "'");
-  }
+  const bool integral = axis != "dram_gbps" && axis != "cache_gbps";
   std::vector<std::string> out;
-  for (double v = lo; v <= hi + 1e-9 * step; v += step) {
-    if (v + step <= v) {
-      throw std::invalid_argument("axis '" + axis + "': step of range '" +
-                                  token + "' does not advance the value");
-    }
-    if (out.size() == kMaxRangeValues) {
-      throw std::invalid_argument(
-          "axis '" + axis + "': range '" + token + "' has more than " +
-          std::to_string(kMaxRangeValues) + " values");
-    }
-    const bool integral = axis != "dram_gbps" && axis != "cache_gbps";
-    out.push_back(integral
-                      ? std::to_string(static_cast<std::int64_t>(
-                            std::llround(v)))
-                      : fmt_double(v));
+  for (const double v : values) {
+    out.push_back(integral ? std::to_string(std::llround(v)) : fmt_double(v));
   }
   return out;
 }
@@ -269,13 +247,12 @@ void set_axis(Candidate& c, const std::string& axis, const obs::Json& value) {
     return value.as_double();
   };
   const auto integer = [&]() {
-    // Range-check the double first: converting one outside the int64
-    // range is undefined behaviour.
-    const double d = number();
-    if (!(d >= -0x1p63 && d < 0x1p63)) {
-      throw fail(fmt_double(d) + " is outside the integer range");
+    (void)number();
+    try {
+      return value.as_int();
+    } catch (const std::out_of_range& e) {
+      throw fail(e.what());
     }
-    return value.as_int();
   };
   const auto text = [&]() {
     if (!value.is_string()) throw fail("expected a string");

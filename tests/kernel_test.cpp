@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <span>
 #include <string>
@@ -72,10 +74,13 @@ TEST(Ir, BuildThrowsTheVerifierErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// The operand rule against execution. Each opcode runs as the middle of a
-// three-instruction body: read every register, run it, write every
-// register out. Registers the rule does not list as read must not affect
-// any output; registers it does not list as written must keep their value.
+// The opcode table and the operand rule against execution. Each opcode
+// runs as the middle of a three-instruction body: read every register, run
+// it, write every register out. Registers the rule does not list as read
+// must not affect any output; registers it does not list as written must
+// keep their value. The compiled VM, which lowers each opcode from the
+// table, must match the interpreter word for word and in every census
+// field, so a wrong row names its opcode.
 // ---------------------------------------------------------------------------
 
 constexpr int kRuleRegs = 8;
@@ -93,10 +98,16 @@ Instr rule_instr(Opcode op) {
   return in;
 }
 
-/// Runs `op` on one cluster with LRF contents `regs`; returns the
-/// registers written out followed by the words `op` stored, if any.
-std::vector<double> run_rule_instr(const Instr& op,
-                                   const std::vector<double>& regs) {
+/// What one backend produced for a rule kernel.
+struct RuleRun {
+  std::vector<double> words;  ///< registers written out, then stored words
+  InterpStats stats;
+};
+
+/// Runs `op` on `n_clusters` clusters, each starting from LRF contents
+/// `regs`; words come out cluster by cluster.
+RuleRun run_rule_instr(const Instr& op, const std::vector<double>& regs,
+                       KernelBackend backend, int n_clusters) {
   KernelDef k;
   k.name = "rule";
   k.n_regs = kRuleRegs;
@@ -105,11 +116,16 @@ std::vector<double> run_rule_instr(const Instr& op,
   k.body.push_back({Opcode::kRead, /*dst=*/0, -1, -1, -1, 0, kRuleRegs});
   k.body.push_back(op);
   k.body.push_back({Opcode::kWrite, -1, /*a=*/0, -1, -1, 1, kRuleRegs});
-  const std::vector<double> loaded = {100.5, 200.25};
-  std::vector<double> out, stored;
+  std::vector<double> lrfs, loaded;
+  for (int c = 0; c < n_clusters; ++c) {
+    lrfs.insert(lrfs.end(), regs.begin(), regs.end());
+    loaded.insert(loaded.end(), {100.5 + c, 200.25 + c});
+  }
+  std::vector<double> stored;
+  RuleRun run;
   StreamBindings b;
-  b.inputs = {std::span<const double>(regs), {}};
-  b.outputs = {nullptr, &out};
+  b.inputs = {std::span<const double>(lrfs), {}};
+  b.outputs = {nullptr, &run.words};
   if (is_stream_op(op.op)) {
     const bool read = is_stream_read(op.op);
     k.streams.push_back({"s", read ? StreamDir::kIn : StreamDir::kOut,
@@ -118,15 +134,21 @@ std::vector<double> run_rule_instr(const Instr& op,
                             : std::span<const double>());
     b.outputs.push_back(read ? nullptr : &stored);
   }
-  Interpreter interp(k, 1);
-  interp.run(b, 1);
-  out.insert(out.end(), stored.begin(), stored.end());
-  return out;
+  KernelExec exec(k, n_clusters, backend);
+  run.stats = exec.run(b, 1);
+  run.words.insert(run.words.end(), stored.begin(), stored.end());
+  return run;
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& words) {
+  std::vector<std::uint64_t> bits;
+  for (const double w : words) bits.push_back(std::bit_cast<std::uint64_t>(w));
+  return bits;
 }
 
 TEST(Ir, OperandRuleMatchesInterpreter) {
-  for (int o = 0; o <= static_cast<int>(Opcode::kWriteCond); ++o) {
-    const Instr op = rule_instr(static_cast<Opcode>(o));
+  for (const OpInfo& row : kOpTable) {
+    const Instr op = rule_instr(row.op);
     const RegOperands rule = reg_operands(op);
     std::vector<bool> read(kRuleRegs, false), written(kRuleRegs, false);
     rule.for_each_read(
@@ -141,7 +163,14 @@ TEST(Ir, OperandRuleMatchesInterpreter) {
         regs[static_cast<std::size_t>(r)] = 1.5 + r;
       }
       regs[4] = pred;
-      const std::vector<double> base = run_rule_instr(op, regs);
+      // Two clusters, so that a broadcast read differs from a plain one.
+      const RuleRun interp =
+          run_rule_instr(op, regs, KernelBackend::kInterp, 2);
+      const RuleRun vm = run_rule_instr(op, regs, KernelBackend::kVm, 2);
+      EXPECT_EQ(bit_patterns(vm.words), bit_patterns(interp.words));
+      EXPECT_EQ(diff_interp_stats(interp.stats, vm.stats), "");
+      const std::vector<double> base =
+          run_rule_instr(op, regs, KernelBackend::kInterp, 1).words;
       for (int r = 0; r < kRuleRegs; ++r) {
         const auto ri = static_cast<std::size_t>(r);
         if (!written[ri]) {
@@ -153,7 +182,8 @@ TEST(Ir, OperandRuleMatchesInterpreter) {
         if (read[ri]) continue;
         std::vector<double> changed = regs;
         changed[ri] += 1000.0;
-        const std::vector<double> got = run_rule_instr(op, changed);
+        const std::vector<double> got =
+            run_rule_instr(op, changed, KernelBackend::kInterp, 1).words;
         ASSERT_EQ(got.size(), base.size());
         for (std::size_t w = 0; w < got.size(); ++w) {
           // Only r's own copy may move, and only if it is not written.

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,6 +52,15 @@ TEST(Json, IntegersStayIntegers) {
   const Json d = Json::parse("0.1");
   EXPECT_DOUBLE_EQ(d.as_double(), 0.1);
   EXPECT_DOUBLE_EQ(Json::parse(d.dump()).as_double(), 0.1);
+}
+
+TEST(Json, AsIntThrowsOutsideInt64) {
+  EXPECT_EQ(Json(-0x1p63).as_int(), INT64_MIN);
+  EXPECT_EQ(Json::parse("-7.9").as_int(), -7);
+  EXPECT_THROW((void)Json(0x1p63).as_int(), std::out_of_range);
+  EXPECT_THROW((void)Json::parse("1e30").as_int(), std::out_of_range);
+  EXPECT_THROW((void)Json(std::nan("")).as_int(), std::out_of_range);
+  EXPECT_THROW((void)Json(-INFINITY).as_int(), std::out_of_range);
 }
 
 TEST(Json, NonFiniteBecomesNull) {

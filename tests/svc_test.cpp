@@ -328,6 +328,64 @@ TEST(Server, ShortListAndWrappedAxisAreBadRequests) {
   EXPECT_EQ(d.simulated, 1);
 }
 
+// Integers outside their field's range used to convert silently:
+// n_molecules 4294967328 ran as 32, priority wrapped the same way,
+// timeout_ms 1e30 was an undefined conversion, and a timeout past the
+// int64 nanosecond clock overflowed the deadline. Each is now one
+// bad_request, and the request next to it in the batch is served.
+void expect_bad_request_beside_good(const std::string& bad_fields,
+                                    const std::string& want) {
+  const obs::Json batch = obs::Json::parse(
+      R"({"schema_version":2,"requests":[{"id":"bad",)" + bad_fields +
+      R"(},{"id":"good","n_molecules":16}]})");
+  const std::vector<BatchEntry> entries = parse_request_file(batch);
+  ASSERT_EQ(entries.size(), 2u);
+
+  CounterProbe probe;
+  ServerOptions opts;
+  opts.workers = 1;
+  Server server(opts);
+  std::vector<JobHandle> handles;
+  for (const BatchEntry& e : entries) {
+    handles.push_back(e.error.empty()
+                          ? server.submit(e.request)
+                          : server.reject_malformed(e.request.id, e.error));
+  }
+  server.drain();
+  const Response& bad = handles[0].wait();
+  EXPECT_EQ(bad.id, "bad");
+  EXPECT_EQ(bad.error, ErrorCode::kBadRequest);
+  EXPECT_NE(bad.message.find(want), std::string::npos) << bad.message;
+  EXPECT_EQ(handles[1].wait().error, ErrorCode::kOk);
+  const Deltas d = probe.delta();
+  EXPECT_EQ(d.rejected, 1);
+  EXPECT_EQ(d.completed, 1);
+}
+
+TEST(Server, WrappedMoleculeCountIsABadRequest) {
+  expect_bad_request_beside_good(
+      R"("n_molecules":4294967328)",
+      "request field 'n_molecules': 4294967328 is outside int's range");
+}
+
+TEST(Server, WrappedPriorityIsABadRequest) {
+  expect_bad_request_beside_good(
+      R"("n_molecules":16,"priority":-4294967296)",
+      "request field 'priority': -4294967296 is outside int's range");
+}
+
+TEST(Server, TimeoutOutsideInt64IsABadRequest) {
+  expect_bad_request_beside_good(
+      R"("n_molecules":16,"timeout_ms":1e30)",
+      "request field 'timeout_ms': 1e+30 is outside the integer range");
+}
+
+TEST(Server, DeadlinePastTheClockIsABadRequest) {
+  expect_bad_request_beside_good(
+      R"("n_molecules":16,"timeout_ms":1e13)",
+      "timeout_ms 10000000000000 puts the deadline past the int64");
+}
+
 // ---- Correctness: payload identity and dedup. -----------------------------
 
 TEST(Server, PayloadMatchesDirectSingleThreadedRun) {

@@ -489,8 +489,9 @@ TEST(Cache, TornFileAndMalformedEntriesAreTolerated) {
   }
   EXPECT_EQ(reg.counter("tune.cache.load_corrupt") - corrupt0, 1);
 
-  // One good entry plus two malformed ones (bad key, missing metrics):
-  // the good entry loads, the bad ones are skipped and counted.
+  // One good entry plus three malformed ones (bad key, missing metrics,
+  // a cycle count outside int64): the good entry loads, the bad ones are
+  // skipped and counted.
   {
     obs::Json good = obs::Json::object();
     Metrics m;
@@ -501,11 +502,16 @@ TEST(Cache, TornFileAndMalformedEntriesAreTolerated) {
     obs::Json bad_key = good;  // valid body under an unparsable key
     obs::Json no_metrics = obs::Json::object();
     no_metrics.set("config", Candidate{}.to_json());
+    obs::Json huge = good;
+    obs::Json huge_metrics = m.to_json();
+    huge_metrics.set("cycles", 1e30);
+    huge.set("metrics", std::move(huge_metrics));
     obs::Json entries = obs::Json::object();
     entries.set(hash_hex(config_hash(Candidate{}, kModelVersion)),
                 std::move(good));
     entries.set("not-a-hash", std::move(bad_key));
     entries.set(hash_hex(1234), std::move(no_metrics));
+    entries.set(hash_hex(5678), std::move(huge));
     obs::Json doc = obs::Json::object();
     doc.set("schema_version", 1);
     doc.set("salt", kModelVersion);
@@ -520,7 +526,7 @@ TEST(Cache, TornFileAndMalformedEntriesAreTolerated) {
     EXPECT_TRUE(partial.lookup(config_hash(Candidate{}, kModelVersion), &out));
     EXPECT_EQ(out.time_ms, 1.0);
   }
-  EXPECT_EQ(reg.counter("tune.cache.load_skipped") - skipped0, 2);
+  EXPECT_EQ(reg.counter("tune.cache.load_skipped") - skipped0, 3);
   std::remove(path.c_str());
 }
 

@@ -2,13 +2,47 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/util/range.h"
 #include "src/util/rng.h"
 #include "src/util/table.h"
 
 namespace smd::util {
 namespace {
+
+TEST(Range, ExpandsInclusiveRanges) {
+  EXPECT_EQ(expand_range("4:16:4"), (std::vector<double>{4, 8, 12, 16}));
+  EXPECT_EQ(expand_range("0.6:4.2:0.3").size(), 13u);
+  EXPECT_EQ(expand_range("1:4096:1").size(), kMaxRangeValues);
+}
+
+// A range that would never end or exhaust memory is an error that quotes
+// the token; smdtune prefixes the axis, the bench drivers the flag.
+TEST(Range, RejectsRangesThatNeverEnd) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"1:2", "bad range '1:2' (want lo:hi:step)"},
+      {"1:2:3:4", "bad range '1:2:3:4' (want lo:hi:step)"},
+      {"1x:2:1", "bad number '1x'"},
+      {"1::1", "bad number ''"},
+      {"1:inf:1", "non-finite range '1:inf:1'"},
+      {"1:2:nan", "non-finite range '1:2:nan'"},
+      {"2:1:1", "empty range '2:1:1'"},
+      {"1:2:0", "empty range '1:2:0'"},
+      {"1e20:2e20:1", "step of range '1e20:2e20:1' does not advance the value"},
+      {"1:1e12:1", "range '1:1e12:1' has more than 4096 values"}};
+  for (const auto& [token, message] : cases) {
+    try {
+      expand_range(token);
+      ADD_FAILURE() << token << " expanded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), message);
+    }
+  }
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(123), b(123);
