@@ -179,6 +179,143 @@ TEST(Space, CandidateJsonRoundTrip) {
   EXPECT_EQ(config_hash(back), config_hash(c));
 }
 
+// key(), label() and to_json().dump() of a fixed candidate list, recorded
+// from the per-axis code the axis table replaced: the default candidate,
+// the smdtune --paper candidates, the check.sh run-sharing sweep, one
+// non-default value per axis, and every axis off its default at once.
+// Each spec yields one candidate through the sweep parser. A mismatch
+// means a key (and so every cache entry and config hash), a report label
+// or a wire payload moved.
+struct GoldenCandidate {
+  const char* spec;
+  const char* key;
+  const char* label;
+  const char* json;
+};
+
+constexpr GoldenCandidate kGoldenCandidates[] = {
+    {"",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=expanded",
+     "variant=expanded|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "expanded",
+     "{\"variant\":\"expanded\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=fixed",
+     "variant=fixed|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "fixed L=8",
+     "{\"variant\":\"fixed\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=duplicated",
+     "variant=duplicated|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "duplicated L=8",
+     "{\"variant\":\"duplicated\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=fixed;L=4",
+     "variant=fixed|L=4|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "fixed L=4",
+     "{\"variant\":\"fixed\",\"L\":4,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=fixed;L=6",
+     "variant=fixed|L=6|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "fixed L=6",
+     "{\"variant\":\"fixed\",\"L\":6,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=fixed;L=12",
+     "variant=fixed|L=12|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "fixed L=12",
+     "{\"variant\":\"fixed\",\"L\":12,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=fixed;L=16",
+     "variant=fixed|L=16|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "fixed L=16",
+     "{\"variant\":\"fixed\",\"L\":16,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=expanded;L=4;unroll=1",
+     "variant=expanded|L=4|blocking=0|sdr=transfer|strip=0|unroll=1|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "expanded u=1",
+     "{\"variant\":\"expanded\",\"L\":4,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":1,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=expanded;L=8;unroll=1",
+     "variant=expanded|L=8|blocking=0|sdr=transfer|strip=0|unroll=1|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "expanded u=1",
+     "{\"variant\":\"expanded\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":1,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=fixed;L=4;unroll=1",
+     "variant=fixed|L=4|blocking=0|sdr=transfer|strip=0|unroll=1|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "fixed L=4 u=1",
+     "{\"variant\":\"fixed\",\"L\":4,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":1,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=fixed;L=8;unroll=1",
+     "variant=fixed|L=8|blocking=0|sdr=transfer|strip=0|unroll=1|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "fixed L=8 u=1",
+     "{\"variant\":\"fixed\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":1,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=variable;L=4;unroll=1",
+     "variant=variable|L=4|blocking=0|sdr=transfer|strip=0|unroll=1|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable u=1",
+     "{\"variant\":\"variable\",\"L\":4,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":1,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=variable;L=8;unroll=1",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=1|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable u=1",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":1,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"L=12",
+     "variant=variable|L=12|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable",
+     "{\"variant\":\"variable\",\"L\":12,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"blocking=3",
+     "variant=variable|L=8|blocking=3|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable blk=3",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":3,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"sdr=conservative",
+     "variant=variable|L=8|blocking=0|sdr=conservative|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable sdr=conservative",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"conservative\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"strip=64",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=64|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable strip=64",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":64,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"unroll=4",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=4|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable u=4",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":4,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"swp=0",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=0|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable swp=0",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":false,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"clusters=8",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=8|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "variable c=8",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":8,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"srf_kb=512",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=512|dram_gbps=38.4|cache_gbps=64",
+     "variable srf=512K",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":512,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"dram_gbps=19.2",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=19.2|cache_gbps=64",
+     "variable dram=19.2",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":19.199999999999999,\"cache_gbps\":64}"},
+    {"cache_gbps=32",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=32",
+     "variable cache=32",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":32}"},
+    {"variant=fixed;blocking=2;L=6",
+     "variant=fixed|L=6|blocking=2|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=38.4|cache_gbps=64",
+     "fixed blk=2 L=6",
+     "{\"variant\":\"fixed\",\"L\":6,\"blocking\":2,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":38.399999999999999,\"cache_gbps\":64}"},
+    {"variant=duplicated;L=12;blocking=3;sdr=conservative;strip=64;unroll=4;swp=off;clusters=8;srf_kb=512;dram_gbps=38.4001;cache_gbps=128",
+     "variant=duplicated|L=12|blocking=3|sdr=conservative|strip=64|unroll=4|swp=0|clusters=8|srf_kb=512|dram_gbps=38.4001|cache_gbps=128",
+     "duplicated blk=3 L=12 sdr=conservative strip=64 u=4 swp=0 c=8 srf=512K dram=38.4001 cache=128",
+     "{\"variant\":\"duplicated\",\"L\":12,\"blocking\":3,\"sdr\":\"conservative\",\"strip\":64,\"unroll\":4,\"swp\":false,\"clusters\":8,\"srf_kb\":512,\"dram_gbps\":38.400100000000002,\"cache_gbps\":128}"},
+    {"dram_gbps=1e-05;cache_gbps=1.5e+06",
+     "variant=variable|L=8|blocking=0|sdr=transfer|strip=0|unroll=2|swp=1|clusters=16|srf_kb=1024|dram_gbps=1e-05|cache_gbps=1.5e+06",
+     "variable dram=1e-05 cache=1.5e+06",
+     "{\"variant\":\"variable\",\"L\":8,\"blocking\":0,\"sdr\":\"transfer\",\"strip\":0,\"unroll\":2,\"swp\":true,\"clusters\":16,\"srf_kb\":1024,\"dram_gbps\":1.0000000000000001e-05,\"cache_gbps\":1500000}"},
+};
+
+TEST(Space, KeyLabelAndJsonMatchTheGolden) {
+  for (const GoldenCandidate& g : kGoldenCandidates) {
+    const std::vector<Candidate> cands = ConfigSpace::parse(g.spec).enumerate();
+    ASSERT_EQ(cands.size(), 1u) << g.spec;
+    const Candidate& c = cands.front();
+    EXPECT_EQ(c.key(), g.key) << g.spec;
+    EXPECT_EQ(c.label(), g.label) << g.spec;
+    EXPECT_EQ(c.to_json().dump(), g.json) << g.spec;
+    EXPECT_EQ(Candidate::from_json(c.to_json()).key(), g.key) << g.spec;
+  }
+}
+
 TEST(Space, MachineOverridesMaterializeAndValidate) {
   Candidate c;
   c.n_clusters = 8;
