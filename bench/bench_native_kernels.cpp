@@ -111,9 +111,7 @@ constexpr std::int64_t kIrRounds = 8;
 std::vector<kernel::KernelDef> builtin_kernels() {
   const md::WaterModel& model = md::spc();
   std::vector<kernel::KernelDef> defs;
-  for (const core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
+  for (const core::Variant v : core::kAllVariants) {
     defs.push_back(core::build_water_kernel(v, model));
   }
   defs.push_back(core::build_expanded_naive_kernel(model));

@@ -62,11 +62,7 @@ namespace {
 /// duplication, not in per-job work.
 tune::Candidate unique_config(int i) {
   tune::Candidate c;
-  const core::Variant variants[] = {core::Variant::kExpanded,
-                                    core::Variant::kFixed,
-                                    core::Variant::kVariable,
-                                    core::Variant::kDuplicated};
-  c.variant = variants[i % 4];
+  c.variant = core::kAllVariants[static_cast<std::size_t>(i % 4)];
   c.dram_gbps = 38.4 + 0.01 * static_cast<double>(i / 4);
   return c;
 }

@@ -55,9 +55,7 @@ std::vector<smd::kernel::KernelDef> builtin_kernels(bool with_naive) {
   namespace md = smd::md;
   const md::WaterModel model = md::spc();
   std::vector<smd::kernel::KernelDef> defs;
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
+  for (core::Variant v : core::kAllVariants) {
     defs.push_back(core::build_water_kernel(v, model));
   }
   defs.push_back(core::build_expanded_energy_kernel(model));
@@ -221,9 +219,7 @@ int main(int argc, char** argv) {
 
   // ---- Pass 1: IR verifier over every built-in kernel. ---------------------
   const md::WaterModel model = md::spc();
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
+  for (core::Variant v : core::kAllVariants) {
     const kernel::KernelDef def = core::build_water_kernel(v, model);
     report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
   }
@@ -244,9 +240,7 @@ int main(int argc, char** argv) {
   core::ExperimentSetup setup;
   setup.n_molecules = n_molecules;
   const core::Problem problem = core::Problem::make(setup);
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
+  for (core::Variant v : core::kAllVariants) {
     core::LayoutOptions lopts;
     lopts.n_clusters = cfg.n_clusters;
     lopts.fixed_list_length = setup.fixed_list_length;

@@ -317,9 +317,7 @@ int run_demo(int n_molecules, svc::ServerOptions opts, Telemetry& tele,
   // The four paper variants, each submitted kDup times.
   constexpr int kDup = 3;
   std::vector<tune::Candidate> configs;
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
+  for (core::Variant v : core::kAllVariants) {
     tune::Candidate c;
     c.variant = v;
     configs.push_back(c);

@@ -55,9 +55,7 @@ int run_paper(const core::Problem& problem, tune::RunnerOptions ropts,
 
   // ---- 1. Variant ordering (Figure 9). ------------------------------------
   std::vector<tune::Candidate> cands;
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
+  for (core::Variant v : core::kAllVariants) {
     tune::Candidate c;
     c.variant = v;
     cands.push_back(c);

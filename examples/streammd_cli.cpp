@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -102,22 +103,13 @@ int main(int argc, char** argv) {
   const std::string json_path = benchio::flag_value(argc, argv, "json");
   const std::string trace_path = benchio::flag_value(argc, argv, "trace");
 
-  std::vector<core::Variant> variants;
-  if (variant == "all") {
-    variants = {core::Variant::kExpanded, core::Variant::kFixed,
-                core::Variant::kVariable, core::Variant::kDuplicated};
-  } else {
-    bool found = false;
-    for (core::Variant v :
-         {core::Variant::kExpanded, core::Variant::kFixed,
-          core::Variant::kVariable, core::Variant::kDuplicated}) {
-      if (variant == core::variant_name(v)) {
-        variants = {v};
-        found = true;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "unknown variant '%s'\n", variant.c_str());
+  std::vector<core::Variant> variants(core::kAllVariants.begin(),
+                                      core::kAllVariants.end());
+  if (variant != "all") {
+    try {
+      variants = {core::parse_variant(variant)};
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 2;
     }
   }
@@ -130,8 +122,7 @@ int main(int argc, char** argv) {
   std::printf("machine: %d clusters (%.0f GFLOPS peak), %s SDR allocation, "
               "unroll x%d\n\n",
               cfg.n_clusters, cfg.peak_gflops(),
-              cfg.sdr_policy == sim::SdrPolicy::kConservative
-                  ? "conservative" : "transfer-scoped",
+              sim::sdr_policy_name(cfg.sdr_policy),
               cfg.sched.unroll);
 
   std::vector<core::VariantResult> results;

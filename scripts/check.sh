@@ -59,6 +59,13 @@ for preset in "${presets[@]}"; do
     echo "==== kernel-layer golden digests (${preset}) ===="
     ctest --preset "${preset}" \
       -R '^(kernel_golden_test|kernel_test|analysis_test)$' --output-on-failure
+    # Axis-table gate (DESIGN.md section 8): tune_test pins key(), label()
+    # and to_json() of a fixed candidate list to strings recorded before
+    # the axis table, round-trips every axis through text and JSON, and
+    # holds the out-of-range and key-collision repros. Re-run standalone
+    # so an axis-table divergence is named in the log.
+    echo "==== tune axis table (${preset}) ===="
+    ctest --preset "${preset}" -R '^tune_test$' --output-on-failure
     # Optimizer equivalence gate (DESIGN.md section 12): the verified
     # optimizer's output must be bit-identical to its input -- full
     # lockstep sweep over the Table-3 variants plus the naive kernel

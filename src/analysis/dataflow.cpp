@@ -269,10 +269,6 @@ const Bitset& KernelDataflow::live_after(Section s, int idx) const {
   return state(s).live[static_cast<std::size_t>(idx) + 1];
 }
 
-const Bitset& KernelDataflow::live_in(Section s) const {
-  return state(s).live.front();
-}
-
 std::vector<LiveRange> KernelDataflow::live_ranges() const {
   std::vector<LiveRange> out;
   for (int r = 0; r < n_regs_; ++r) {

@@ -142,9 +142,6 @@ class KernelDataflow {
   const Bitset& live_before(kernel::Section s, int idx) const;
   /// Registers live immediately after instruction `idx` of `s`.
   const Bitset& live_after(kernel::Section s, int idx) const;
-  /// Live set at the section entry (== live_before(s, 0) for non-empty
-  /// sections; defined for empty sections too).
-  const Bitset& live_in(kernel::Section s) const;
 
   /// Exact peak LRF pressure: max |live set| over every point of the
   /// linearized execution order.

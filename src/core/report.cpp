@@ -69,8 +69,7 @@ std::string format_dataset_table(const Problem& problem,
 
 std::string format_variants_table() {
   Table t({"Name", "Description"});
-  for (Variant v : {Variant::kExpanded, Variant::kFixed, Variant::kVariable,
-                    Variant::kDuplicated}) {
+  for (Variant v : kAllVariants) {
     t.add_row({variant_name(v), variant_description(v)});
   }
   t.add_row({"Pentium 4",
@@ -167,9 +166,7 @@ obs::Json to_json(const sim::MachineConfig& cfg) {
       .set("srf_words", cfg.srf_words)
       .set("srf_words_per_cycle_per_cluster", cfg.srf_words_per_cycle_per_cluster)
       .set("n_stream_descriptor_registers", cfg.n_stream_descriptor_registers)
-      .set("sdr_policy", cfg.sdr_policy == sim::SdrPolicy::kConservative
-                             ? "conservative"
-                             : "transfer-scoped")
+      .set("sdr_policy", sim::sdr_policy_name(cfg.sdr_policy))
       .set("kernel_startup_cycles", cfg.kernel_startup_cycles)
       .set("stream_issue_cycles", cfg.stream_issue_cycles)
       .set("mem", std::move(mem))

@@ -9,11 +9,18 @@
 //                 neighbor partial-force output
 #pragma once
 
+#include <array>
+#include <stdexcept>
 #include <string>
 
 namespace smd::core {
 
 enum class Variant { kExpanded, kFixed, kVariable, kDuplicated };
+
+/// The four variants in Table 3 order.
+inline constexpr std::array<Variant, 4> kAllVariants = {
+    Variant::kExpanded, Variant::kFixed, Variant::kVariable,
+    Variant::kDuplicated};
 
 inline const char* variant_name(Variant v) {
   switch (v) {
@@ -23,6 +30,15 @@ inline const char* variant_name(Variant v) {
     case Variant::kDuplicated: return "duplicated";
   }
   return "?";
+}
+
+/// Inverse of variant_name; throws std::invalid_argument
+/// "unknown variant '<s>'" on any other name.
+inline Variant parse_variant(const std::string& s) {
+  for (const Variant v : kAllVariants) {
+    if (s == variant_name(v)) return v;
+  }
+  throw std::invalid_argument("unknown variant '" + s + "'");
 }
 
 inline const char* variant_description(Variant v) {

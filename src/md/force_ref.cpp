@@ -70,36 +70,6 @@ ForceEnergy compute_forces_reference(const WaterSystem& sys,
   return out;
 }
 
-InteractionFlops interaction_flop_census() {
-  // Counted op by op from water_water_interaction above, in the paper's
-  // convention (div = 1 flop, sqrt = 1 flop). Per atom pair (9 of them):
-  //   displacement:       3 sub                         (shift applied once
-  //                                                      per neighbor atom,
-  //                                                      3 adds, 3 atoms)
-  //   r2:                 3 mul + 2 add
-  //   rinv:               1 sqrt + 1 div
-  //   rinv2:              1 mul
-  //   vc = qq*rinv:       1 mul   (qq constant-folded per site pair)
-  //   fs = vc*rinv2:      1 mul
-  //   energy accum:       1 add
-  //   f = d*fs:           3 mul
-  //   force accums:       6 add (central + neighbor)
-  // O-O pair additionally:
-  //   rinv6:              2 mul
-  //   c6t, rinv12, c12t:  3 mul
-  //   e_lj accum:         1 sub + 1 add
-  //   fs +=:              2 mul + 1 sub + 1 add
-  InteractionFlops f;
-  const int per_pair_mul = 3 + 1 + 1 + 1 + 3;      // 9
-  const int per_pair_add = 3 + 2 + 1 + 6;          // 12
-  f.multiplies = 9 * per_pair_mul + (2 + 3 + 2);   // 88
-  f.adds = 9 * per_pair_add + (1 + 1 + 1 + 1) + 9; // 121 (incl. 9 shift adds)
-  f.divides = 9;
-  f.square_roots = 9;
-  f.total = f.multiplies + f.adds + f.divides + f.square_roots;  // 227
-  return f;
-}
-
 double max_force_rel_err(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
   double worst = 0.0;
   // Scale errors by the RMS force so near-zero components don't dominate.

@@ -4,8 +4,8 @@
 // water-water inner loop (Equation 1 of the paper): for every molecule pair
 // in the neighbor list, all 9 atom-atom Coulomb interactions plus the O-O
 // Lennard-Jones term. Every StreamMD variant is validated against these
-// forces, and the flop census here defines "solution flops" for the
-// GFLOPS accounting.
+// forces. Solution flops for the GFLOPS accounting come from the kernel
+// census instead (core::interaction_flops).
 #pragma once
 
 #include <cstdint>
@@ -26,21 +26,6 @@ struct ForceEnergy {
 
   double e_potential() const { return e_coulomb + e_lj; }
 };
-
-/// Per-molecule-pair floating-point operation census, in the paper's
-/// counting convention: a divide is 1 flop, a square root is 1 flop
-/// (Section 3: "each interaction requires ~234 floating-point operations
-/// including 9 divides and 9 square roots").
-struct InteractionFlops {
-  int total = 0;
-  int divides = 0;
-  int square_roots = 0;
-  int multiplies = 0;
-  int adds = 0;  ///< additions + subtractions
-};
-
-/// Flop census of one water-water molecule-pair interaction.
-InteractionFlops interaction_flop_census();
 
 /// Evaluate forces and energies over a half neighbor list.
 ForceEnergy compute_forces_reference(const WaterSystem& sys,

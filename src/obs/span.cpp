@@ -93,26 +93,6 @@ void SpanLog::append_chrome(TraceSink* sink) const {
   }
 }
 
-Span::Span(SpanLog& log, std::string name) : log_(log) {
-  rec_.ctx = log.make_root();
-  rec_.name = std::move(name);
-  rec_.start_ns = monotonic_ns();
-}
-
-Span::Span(SpanLog& log, std::string name, const SpanContext& parent)
-    : log_(log) {
-  rec_.ctx = log.make_child(parent);
-  rec_.name = std::move(name);
-  rec_.start_ns = monotonic_ns();
-}
-
-void Span::end() {
-  if (ended_) return;
-  ended_ = true;
-  rec_.end_ns = monotonic_ns();
-  log_.record(std::move(rec_));
-}
-
 Json span_json(const SpanRecord& rec) {
   Json j = Json::object();
   j.set("type", "span");

@@ -85,26 +85,6 @@ class SpanLog {
   std::atomic<std::uint64_t> next_span_{1};
 };
 
-/// RAII span: stamps start_ns at construction, records into the log at
-/// end() (idempotent) or destruction.
-class Span {
- public:
-  Span(SpanLog& log, std::string name);  ///< a new root span
-  Span(SpanLog& log, std::string name, const SpanContext& parent);
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span() { end(); }
-
-  const SpanContext& context() const { return rec_.ctx; }
-  void set_arg(std::string arg) { rec_.arg = std::move(arg); }
-  void end();
-
- private:
-  SpanLog& log_;
-  SpanRecord rec_;
-  bool ended_ = false;
-};
-
 /// One JSONL event line: {"type":"span","trace":"<16hex>","span":...,
 /// "parent":...,"name":...,"cat":...,"arg":...,"start_ns":...,"end_ns":...}.
 Json span_json(const SpanRecord& rec);

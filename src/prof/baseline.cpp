@@ -90,9 +90,7 @@ Baseline Baseline::capture(const std::vector<core::VariantResult>& results,
   b.n_molecules = setup.n_molecules;
   b.seed = setup.seed;
   b.fixed_list_length = setup.fixed_list_length;
-  b.sdr_policy = cfg.sdr_policy == sim::SdrPolicy::kConservative
-                     ? "conservative"
-                     : "transfer-scoped";
+  b.sdr_policy = sim::sdr_policy_name(cfg.sdr_policy);
   b.peak_gflops = cfg.peak_gflops();
   for (const auto& r : results) {
     const StallTaxonomy tax = attribute_cycles(r.run);

@@ -19,6 +19,10 @@ const char* engine_name(SimEngine e) {
   return "unknown";
 }
 
+const char* sdr_policy_name(SdrPolicy p) {
+  return p == SdrPolicy::kConservative ? "conservative" : "transfer-scoped";
+}
+
 SimEngine parse_engine(const std::string& name) {
   if (name == "stepped") return SimEngine::kStepped;
   if (name == "event") return SimEngine::kEvent;

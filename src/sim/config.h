@@ -51,6 +51,8 @@ enum class SimEngine {
 };
 
 const char* engine_name(SimEngine e);
+/// "conservative" | "transfer-scoped": the name reports and baselines use.
+const char* sdr_policy_name(SdrPolicy p);
 /// Parse "stepped" | "event" | "lockstep" (throws std::invalid_argument).
 SimEngine parse_engine(const std::string& name);
 

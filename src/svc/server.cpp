@@ -122,17 +122,15 @@ JobHandle Server::submit(Request req, ProgressFn progress) {
                       " over the per-request budget of " +
                       std::to_string(opts_.max_molecules));
   }
+  // machine() applies tune::check_candidate; validate() the physical limits.
   try {
-    tune::check_candidate(req.config);
-  } catch (const std::invalid_argument& e) {
-    return reject(slot, ErrorCode::kBadRequest, e.what());
-  }
-  {
     const analysis::Diagnostics diags = req.config.machine().validate();
     if (diags.errors() > 0) {
       return reject(slot, ErrorCode::kBadRequest,
                     "invalid machine config: " + diags.format());
     }
+  } catch (const std::invalid_argument& e) {
+    return reject(slot, ErrorCode::kBadRequest, e.what());
   }
 
   slot->hash = request_hash(req.config, req.n_molecules, opts_.salt);

@@ -204,7 +204,6 @@ class Server {
 
   const ServerOptions& options() const { return opts_; }
   std::size_t queue_depth() const { return queue_.depth(); }
-  std::size_t queue_peak_depth() const { return queue_.peak_depth(); }
 
   /// Recorded span trees (populated only with options().record_spans).
   obs::SpanLog& spans() { return span_log_; }

@@ -9,10 +9,15 @@
 // Table 1 Merrimac node -- and a ConfigSpace enumerates axes into the
 // cartesian candidate list the tune::Runner evaluates.
 //
-// Every candidate has a stable 64-bit hash over its canonical key string;
-// the persistent result cache (tune/cache.h) is keyed by that hash mixed
-// with a model-version salt, so cached metrics survive exactly as long as
-// the cost model that produced them.
+// One table in space.cpp defines every axis (name, Candidate member, kind,
+// label tag, valid range); the parsers, key(), to_json(), label(),
+// axis_names() and the candidate check loop over it. A range covers what
+// MachineConfig::validate cannot see; the physical limits stay there.
+//
+// Every candidate has a stable 64-bit hash over its canonical key string,
+// unique per distinct candidate; the persistent result cache (tune/cache.h)
+// is keyed by that hash mixed with a model-version salt, so cached metrics
+// survive exactly as long as the cost model that produced them.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +49,8 @@ struct Candidate {
   double dram_gbps = 38.4;     ///< peak DRAM bandwidth
   double cache_gbps = 64.0;    ///< stream cache bandwidth (8 GB/s per bank)
 
-  /// Materialize the machine configuration this candidate runs on.
+  /// Materialize the machine configuration this candidate runs on; throws
+  /// as check_candidate does. validate() the result for physical limits.
   sim::MachineConfig machine() const;
 
   /// Canonical "axis=value|axis=value" form; the hash input, and unique
@@ -68,12 +74,11 @@ std::uint64_t config_hash(const Candidate& c, const std::string& salt = "");
 /// produce identical metrics, so tune::Runner simulates one per sweep.
 std::uint64_t run_hash(const Candidate& c, const std::string& salt = "");
 
-/// The candidate check. Every parser of a candidate (the sweep spec,
-/// Candidate::from_json, the svc wire) narrows each int axis through it,
-/// and svc::Server::submit re-applies it to a candidate built in code.
-/// Returns `value` as the axis's int; throws std::invalid_argument naming
-/// the axis when the value is outside int's range, or is an L below 1
-/// (blocks of fewer than one neighbor never cover a list).
+/// The candidate check: every axis value inside its row's range, else
+/// std::invalid_argument "axis '<axis>': ..." (an L below 1, a negative
+/// blocking or strip, a non-finite bandwidth, ...). Every parser applies it
+/// to each value it parses; machine() re-applies it to a candidate built in
+/// code. check_int_axis returns `value` narrowed to an int axis.
 int check_int_axis(const std::string& axis, std::int64_t value);
 void check_candidate(const Candidate& c);
 

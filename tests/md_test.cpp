@@ -238,17 +238,6 @@ TEST(ForceRef, EnergyPerMoleculePlausible) {
   for (const auto& f : fe.force) EXPECT_LT(f.norm(), 1e6);
 }
 
-TEST(ForceRef, FlopCensusMatchesPaperShape) {
-  const InteractionFlops f = interaction_flop_census();
-  EXPECT_EQ(f.divides, 9);
-  EXPECT_EQ(f.square_roots, 9);
-  // Paper: "~234 floating point operations including 9 divides and 9
-  // square roots" -- our census must land in the same range.
-  EXPECT_GE(f.total, 200);
-  EXPECT_LE(f.total, 260);
-  EXPECT_EQ(f.total, f.multiplies + f.adds + f.divides + f.square_roots);
-}
-
 TEST(ForceRef, SymmetricPairGivesOppositeForces) {
   WaterSystem sys(Box(50.0), spc(), 2);
   for (int s = 0; s < 3; ++s) {

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/obs/event_log.h"
@@ -384,6 +385,65 @@ TEST(Server, DeadlinePastTheClockIsABadRequest) {
   expect_bad_request_beside_good(
       R"("n_molecules":16,"timeout_ms":1e13)",
       "timeout_ms 10000000000000 puts the deadline past the int64");
+}
+
+// Axis values that used to be served ok: a bandwidth parsed as inf, a
+// cache bandwidth below one bank (clamped to one), an SRF size whose word
+// count overflows int64, and a negative blocking or strip length. A value
+// outside its axis's range is rejected by the parser, naming the axis; a
+// cache of zero banks fails the machine check, MC010.
+TEST(Server, OutOfRangeAxesAreBadRequests) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("config":{"dram_gbps":1e999},"n_molecules":16)", "axis 'dram_gbps'"},
+      {R"("config":{"cache_gbps":1e30},"n_molecules":16)", "axis 'cache_gbps'"},
+      {R"("config":{"cache_gbps":0},"n_molecules":16)", "MC010"},
+      {R"("config":{"cache_gbps":-5},"n_molecules":16)", "MC010"},
+      {R"("config":{"srf_kb":72057594037927936},"n_molecules":16)",
+       "axis 'srf_kb'"},
+      {R"("config":{"blocking":-1},"n_molecules":16)", "axis 'blocking'"},
+      {R"("config":{"strip":-3},"n_molecules":16)", "axis 'strip'"}};
+  for (const auto& [fields, want] : cases) {
+    SCOPED_TRACE(fields);
+    expect_bad_request_beside_good(fields, want);
+  }
+}
+
+// Config keys printed doubles with %.6g, so 38.4000001 and 38.4000002 had
+// one config_hash (the default config's): the second request was served
+// as a dedup of the first and its payload carried the first one's
+// dram_gbps. Each now simulates and carries its own.
+TEST(Server, ConfigsPastSixSignificantDigitsStayDistinct) {
+  const obs::Json batch = obs::Json::parse(R"({"schema_version":2,"requests":[
+      {"id":"a","config":{"dram_gbps":38.4000001},"n_molecules":16},
+      {"id":"b","config":{"dram_gbps":38.4000002},"n_molecules":16}]})");
+  const std::vector<BatchEntry> entries = parse_request_file(batch);
+  ASSERT_EQ(entries.size(), 2u);
+
+  CounterProbe probe;
+  ServerOptions opts;
+  opts.workers = 2;
+  Server server(opts);
+  std::vector<JobHandle> handles;
+  for (const BatchEntry& e : entries) {
+    ASSERT_EQ(e.error, "");
+    handles.push_back(server.submit(e.request));
+  }
+  server.drain();
+  const double want[] = {38.4000001, 38.4000002};
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    const Response& r = handles[i].wait();
+    ASSERT_TRUE(r.ok()) << r.message;
+    EXPECT_EQ(r.served_by, "sim") << r.id;
+    EXPECT_NE(r.config_hash,
+              request_hash(tune::Candidate{}, kSmall, tune::kModelVersion));
+    const obs::Json payload = obs::Json::parse(r.payload);
+    EXPECT_EQ(payload.at("config").at("dram_gbps").as_double(), want[i])
+        << r.payload;
+  }
+  EXPECT_NE(handles[0].wait().config_hash, handles[1].wait().config_hash);
+  const Deltas d = probe.delta();
+  EXPECT_EQ(d.simulated, 2);
+  EXPECT_EQ(d.deduped, 0);
 }
 
 // ---- Correctness: payload identity and dedup. -----------------------------

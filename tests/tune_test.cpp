@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -132,6 +135,119 @@ TEST(Space, CandidateCheckRejectsShortListsAndWrappedInts) {
   obs::Json wrong_type = Candidate{}.to_json();
   wrong_type.set("variant", 3);
   EXPECT_THROW(Candidate::from_json(wrong_type), std::invalid_argument);
+}
+
+// Values that used to run silently: a non-finite bandwidth (llround of
+// NaN or of an overflowing value is unspecified, and NaN passes MC009),
+// a cache bandwidth whose bank count overflows int, an SRF size whose
+// word count overflows int64, and a negative blocking or strip length
+// (which ran as unblocked and auto under another hash). Every parser
+// rejects them through the axis table, naming the axis.
+TEST(Space, OutOfRangeAxisValuesAreRejected) {
+  const std::pair<std::string, std::string> specs[] = {
+      {"variant=variable;cache_gbps=8,3,0,-8,1e30,nan,inf", "cache_gbps"},
+      {"cache_gbps=nan", "cache_gbps"},
+      {"cache_gbps=-inf", "cache_gbps"},
+      {"cache_gbps=1e30", "cache_gbps"},
+      {"variant=variable;dram_gbps=38.4,nan,inf", "dram_gbps"},
+      {"dram_gbps=inf", "dram_gbps"},
+      {"dram_gbps=1e999", "dram_gbps"},
+      {"srf_kb=72057594037927936", "srf_kb"},
+      {"srf_kb=-72057594037927937", "srf_kb"},
+      {"blocking=-1", "blocking"},
+      {"blocking=-1,0", "blocking"},
+      {"strip=-3", "strip"}};
+  for (const auto& [spec, axis] : specs) {
+    try {
+      ConfigSpace::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("axis '" + axis + "'"),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  // The edges of each range are accepted.
+  EXPECT_EQ(ConfigSpace::parse("srf_kb=72057594037927935,-72057594037927936;"
+                               "blocking=0;strip=0;cache_gbps=17179869176")
+                .size(),
+            2);
+
+  // Candidate::from_json and the candidate check apply the same ranges.
+  const std::pair<std::string, double> json_values[] = {
+      {"dram_gbps", std::numeric_limits<double>::infinity()},
+      {"dram_gbps", std::nan("")},
+      {"cache_gbps", 1e30},
+      {"cache_gbps", -std::numeric_limits<double>::infinity()},
+      {"srf_kb", 72057594037927936.0},
+      {"blocking", -1.0},
+      {"strip", -3.0}};
+  for (const auto& [axis, value] : json_values) {
+    obs::Json j = Candidate{}.to_json();
+    j.set(axis, value);
+    try {
+      Candidate::from_json(j);
+      ADD_FAILURE() << axis << "=" << value << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("axis '" + axis + "': ", 0), 0u)
+          << e.what();
+    }
+  }
+  const auto rejects = [](auto set) {
+    Candidate c;
+    set(c);
+    EXPECT_THROW(check_candidate(c), std::invalid_argument) << c.key();
+    EXPECT_THROW(c.machine(), std::invalid_argument) << c.key();
+  };
+  rejects([](Candidate& c) { c.dram_gbps = std::nan(""); });
+  rejects([](Candidate& c) { c.cache_gbps = 1e30; });
+  rejects([](Candidate& c) { c.srf_kb = std::int64_t{1} << 57; });
+  rejects([](Candidate& c) { c.blocking_cells = -1; });
+  rejects([](Candidate& c) { c.strip_rounds = -3; });
+  rejects([](Candidate& c) { c.variant = static_cast<core::Variant>(7); });
+}
+
+// A cache bandwidth below half a bank used to be clamped to one bank
+// (cache_gbps=0 ran as 8 GB/s); now it reaches the machine check, MC010.
+TEST(Space, CacheBandwidthBelowOneBankFailsTheMachineCheck) {
+  for (const double gbps : {3.0, 0.0, -5.0, -8.0}) {
+    Candidate c;
+    c.cache_gbps = gbps;
+    const analysis::Diagnostics d = c.machine().validate();
+    EXPECT_GT(d.errors(), 0u) << gbps;
+    EXPECT_NE(d.format().find("MC010"), std::string::npos) << d.format();
+  }
+  Candidate one_bank;
+  one_bank.cache_gbps = 8.0;
+  EXPECT_EQ(one_bank.machine().validate().errors(), 0u);
+}
+
+// %.6g keys made 38.4000001 and 38.4000002 one config (the second sweep
+// row shared the first one's run), both equal to the default 38.4. A key
+// prints %.17g where %.6g does not read back as the same double.
+TEST(Space, KeysStayDistinctPastSixSignificantDigits) {
+  const std::vector<Candidate> cands =
+      ConfigSpace::parse("dram_gbps=38.4000001,38.4000002,38.4").enumerate();
+  ASSERT_EQ(cands.size(), 3u);
+  std::set<std::string> keys;
+  std::set<std::uint64_t> hashes, runs;
+  for (const Candidate& c : cands) {
+    keys.insert(c.key());
+    hashes.insert(config_hash(c, kModelVersion));
+    runs.insert(run_hash(c, kModelVersion));
+    EXPECT_EQ(Candidate::from_json(c.to_json()).key(), c.key());
+    // The key's value reads back as the candidate's double.
+    const std::string k = c.key();
+    const std::size_t at = k.find("dram_gbps=") + 10;
+    EXPECT_EQ(std::strtod(k.substr(at, k.find('|', at) - at).c_str(), nullptr),
+              c.dram_gbps)
+        << k;
+  }
+  EXPECT_EQ(keys.size(), 3u);
+  EXPECT_EQ(hashes.size(), 3u);
+  EXPECT_EQ(runs.size(), 3u);
+  EXPECT_EQ(cands[2].key(), Candidate{}.key());
+  EXPECT_EQ(config_hash(cands[2]), config_hash(Candidate{}));
 }
 
 TEST(Space, RunHashIgnoresLOnlyWhereNoRunReadsIt) {
@@ -313,6 +429,40 @@ TEST(Space, KeyLabelAndJsonMatchTheGolden) {
     EXPECT_EQ(c.label(), g.label) << g.spec;
     EXPECT_EQ(c.to_json().dump(), g.json) << g.spec;
     EXPECT_EQ(Candidate::from_json(c.to_json()).key(), g.key) << g.spec;
+  }
+}
+
+// Every row of the axis table, without naming one: the key names each
+// axis exactly once, and each axis's key text, applied through the sweep
+// parser, and its to_json value, applied through set_axis, set the same
+// value. The candidates are the golden list above, so every axis is off
+// its default somewhere; a new row is covered with no edit here.
+TEST(Space, EveryAxisRoundTripsThroughTextAndJson) {
+  const std::vector<std::string> names = axis_names();
+  for (const GoldenCandidate& g : kGoldenCandidates) {
+    const Candidate c = ConfigSpace::parse(g.spec).enumerate().front();
+    const std::string key = c.key();
+    const obs::Json json = c.to_json();
+    std::map<std::string, std::vector<std::string>> text;  // axis -> values
+    for (std::size_t start = 0; start <= key.size();) {
+      std::size_t end = key.find('|', start);
+      if (end == std::string::npos) end = key.size();
+      const std::string field = key.substr(start, end - start);
+      const std::size_t eq = field.find('=');
+      ASSERT_NE(eq, std::string::npos) << key;
+      text[field.substr(0, eq)].push_back(field.substr(eq + 1));
+      start = end + 1;
+    }
+    EXPECT_EQ(text.size(), names.size()) << key;
+    for (const std::string& axis : names) {
+      ASSERT_EQ(text[axis].size(), 1u) << axis << " in " << key;
+      ConfigSpace space;
+      space.set(axis, text[axis]);
+      EXPECT_EQ(space.enumerate(c).front().key(), key) << axis;
+      Candidate via_json;
+      set_axis(via_json, axis, json.at(axis));
+      EXPECT_EQ(via_json.key(), space.enumerate().front().key()) << axis;
+    }
   }
 }
 
