@@ -14,11 +14,10 @@
 using namespace smd;
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_ablation_machine [--json path]";
+  benchio::check_flags(argc, argv, "bench_ablation_machine", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_ablation_machine");
-  const sim::SimEngine engine =
-      sim::parse_engine(benchio::engine_flag(argc, argv));
-  const kernel::KernelBackend kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
   const core::Problem problem = core::Problem::make({});
 
   {
@@ -27,8 +26,6 @@ int main(int argc, char** argv) {
     obs::Json rows = obs::Json::array();
     for (std::int64_t words : {1024LL, 8192LL, 32768LL, 131072LL}) {
       sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-      cfg.engine = engine;
-      cfg.kernel_backend = kernel_backend;
       cfg.mem.cache.total_words = words;
       const auto r = core::run_variant(problem, core::Variant::kVariable, cfg);
       obs::Json j = obs::Json::object();
@@ -54,8 +51,6 @@ int main(int argc, char** argv) {
     obs::Json rows = obs::Json::array();
     for (int entries : {1, 2, 8, 32}) {
       sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-      cfg.engine = engine;
-      cfg.kernel_backend = kernel_backend;
       cfg.mem.scatter_add.combining_entries = entries;
       const auto r = core::run_variant(problem, core::Variant::kFixed, cfg);
       const auto& sa = r.run.scatter_add_stats;
@@ -85,8 +80,6 @@ int main(int argc, char** argv) {
     obs::Json rows = obs::Json::array();
     for (auto [gens, per] : {std::pair{1, 4}, std::pair{2, 4}, std::pair{4, 4}}) {
       sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-      cfg.engine = engine;
-      cfg.kernel_backend = kernel_backend;
       cfg.mem.n_address_generators = gens;
       cfg.mem.addrs_per_generator = per;
       const auto re = core::run_variant(problem, core::Variant::kExpanded, cfg);

@@ -16,6 +16,9 @@
 using namespace smd;
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_ablation_watermodels [--json path]";
+  benchio::check_flags(argc, argv, "bench_ablation_watermodels", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_ablation_watermodels");
   obs::Json rows = obs::Json::array();
   util::Table t({"model", "sites", "site pairs", "flops/pair", "div+sqrt",

@@ -22,6 +22,9 @@
 using namespace smd;
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_blocked_scheme [--json path]";
+  benchio::check_flags(argc, argv, "bench_blocked_scheme", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_blocked_scheme");
   const core::Problem problem = core::Problem::make({});
   const auto variable = core::run_variant(problem, core::Variant::kVariable);

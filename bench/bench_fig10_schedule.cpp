@@ -25,6 +25,9 @@ obs::Json schedule_json(const kernel::Schedule& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_fig10_schedule [--json path]";
+  benchio::check_flags(argc, argv, "bench_fig10_schedule", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_fig10_schedule");
   const kernel::KernelDef def =
       core::build_water_kernel(core::Variant::kVariable, md::spc());

@@ -77,6 +77,8 @@ int main(int argc, char** argv) {
   static const char* kUsage =
       "bench_fig11_12_blocking [--sizes a,b,c|lo:hi:step] [--molecules N] "
       "[--json path]";
+  benchio::check_flags(argc, argv, "bench_fig11_12_blocking", kUsage,
+                       {"--sizes", "--molecules", "--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_fig11_12_blocking");
 
   std::vector<double> sizes;

@@ -120,12 +120,12 @@ obs::Json overlap_json(const core::VariantResult& r, const TimelineView& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* kUsage =
+      "bench_fig7_overlap [--json path] [--trace path]";
+  benchio::check_flags(argc, argv, "bench_fig7_overlap", kUsage,
+                       {"--json", "--trace"}, {});
   benchio::JsonOut jout(argc, argv, "bench_fig7_overlap");
   const std::string trace_path = benchio::flag_value(argc, argv, "trace");
-  const sim::SimEngine engine =
-      sim::parse_engine(benchio::engine_flag(argc, argv));
-  const kernel::KernelBackend kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
   const core::Problem problem = core::Problem::make({});
 
   // The flawed allocator effectively left only a strip's worth of SDRs
@@ -135,14 +135,10 @@ int main(int argc, char** argv) {
   sim::MachineConfig before = sim::MachineConfig::merrimac();
   before.sdr_policy = sim::SdrPolicy::kConservative;
   before.n_stream_descriptor_registers = 2;
-  before.engine = engine;
-  before.kernel_backend = kernel_backend;
 
   sim::MachineConfig after = sim::MachineConfig::merrimac();
   after.sdr_policy = sim::SdrPolicy::kTransferScoped;
   after.n_stream_descriptor_registers = 8;
-  after.engine = engine;
-  after.kernel_backend = kernel_backend;
 
   std::printf("== Figure 7: memory/kernel overlap, variant `duplicated` ==\n\n");
   const auto a = core::run_variant(problem, core::Variant::kDuplicated, before);

@@ -11,12 +11,12 @@
 using namespace smd;
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_fig8_locality [--json path]";
+  benchio::check_flags(argc, argv, "bench_fig8_locality", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_fig8_locality");
   const core::Problem problem = core::Problem::make({});
-  sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-  cfg.engine = sim::parse_engine(benchio::engine_flag(argc, argv));
-  cfg.kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
+  const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
   const auto results = core::run_all_variants(problem, cfg);
   std::printf("== Figure 8: locality of the implementations ==\n%s\n",
               core::format_locality_table(results).c_str());

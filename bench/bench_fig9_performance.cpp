@@ -32,12 +32,12 @@ double optimal_solution_gflops(const core::Problem& problem,
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_fig9_performance [--json path]";
+  benchio::check_flags(argc, argv, "bench_fig9_performance", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_fig9_performance");
   const core::Problem problem = core::Problem::make({});
-  sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-  cfg.engine = sim::parse_engine(benchio::engine_flag(argc, argv));
-  cfg.kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
+  const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
   const auto results = core::run_all_variants(problem, cfg);
 
   const baseline::P4Model p4;

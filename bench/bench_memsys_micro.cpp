@@ -47,6 +47,9 @@ Result run_pattern(const char* /*name*/, mem::MemOpDesc desc, std::int64_t footp
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_memsys_micro [--json path]";
+  benchio::check_flags(argc, argv, "bench_memsys_micro", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_memsys_micro");
   obs::Json patterns = obs::Json::array();
   const std::int64_t n = 32768;

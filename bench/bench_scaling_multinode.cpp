@@ -76,8 +76,11 @@ void sweep(const char* title, const net::ScalingModel& model,
 int main(int argc, char** argv) {
   static const char* kUsage =
       "bench_scaling_multinode [--nodes a,b,c|lo:hi:step] [--molecules N] "
-      "[--large-molecules N] [--trace path] [--engine stepped|event|lockstep] "
-      "[--kernel-backend interp|vm|lockstep] [--json path]";
+      "[--large-molecules N] [--trace path] [--json path]";
+  benchio::check_flags(argc, argv, "bench_scaling_multinode", kUsage,
+                       {"--nodes", "--molecules", "--large-molecules",
+                        "--trace", "--json"},
+                       {});
   benchio::JsonOut jout(argc, argv, "bench_scaling_multinode");
 
   std::vector<std::int64_t> nodes = {1, 2, 4, 8, 16, 32, 64};
@@ -96,12 +99,7 @@ int main(int argc, char** argv) {
   setup.n_molecules = benchio::molecules_or_exit(
       argc, argv, "bench_scaling_multinode", setup.n_molecules, kUsage).front();
   const core::Problem problem = core::Problem::make(setup);
-  sim::MachineConfig node_cfg = sim::MachineConfig::merrimac();
-  node_cfg.engine = sim::parse_engine(benchio::engine_flag(argc, argv));
-  node_cfg.kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
-  const auto variable =
-      core::run_variant(problem, core::Variant::kVariable, node_cfg);
+  const auto variable = core::run_variant(problem, core::Variant::kVariable);
 
   net::ScalingWorkload w;
   w.n_molecules = problem.system.n_molecules();

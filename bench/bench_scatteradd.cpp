@@ -44,6 +44,8 @@ Result run_scatter(const std::vector<std::uint64_t>& idx, std::int64_t rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_scatteradd [--json path]";
+  benchio::check_flags(argc, argv, "bench_scatteradd", kUsage, {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_scatteradd");
   obs::Json patterns = obs::Json::array();
   const std::int64_t n = 16384;

@@ -3,9 +3,7 @@
 // duplicate-request regimes.
 //
 //   bench_svc_load [--requests N] [--molecules N] [--workers a,b,c]
-//                  [--dups a,b,c] [--queue-cap N]
-//                  [--engine stepped|event|lockstep]
-//                  [--kernel-backend interp|vm|lockstep] [--json path]
+//                  [--dups a,b,c] [--queue-cap N] [--json path]
 //
 // For every (worker count, duplicate fraction) combination the bench
 // builds a fresh server, submits N requests from a closed-loop client
@@ -14,7 +12,8 @@
 // fraction d maps N requests onto round(N*(1-d)) unique configs (distinct
 // dram_gbps machine overrides over the four variants), so:
 //   --dups 0    every request simulates (worst case),
-//   --dups 50   every config is requested twice (in-flight dedup + memo),
+//   --dups 50   every config is requested twice (in-flight dedup or the
+//               server's result store),
 //   --dups 100  one config serves all N requests (one simulation total).
 //
 // Latency percentiles come from the server's obs::LatencyHistogram
@@ -137,8 +136,6 @@ struct RegimeResult {
 /// runs must match it byte-for-byte.
 RegimeResult run_regime(int workers, double dup, int n_requests,
                         int n_molecules, std::size_t queue_cap,
-                        sim::SimEngine engine,
-                        kernel::KernelBackend kernel_backend,
                         bool quantile_check,
                         std::map<int, std::string>& reference) {
   RegimeResult r;
@@ -156,8 +153,6 @@ RegimeResult run_regime(int workers, double dup, int n_requests,
   svc::ServerOptions opts;
   opts.workers = workers;
   opts.queue_cap = queue_cap;
-  opts.engine = engine;
-  opts.kernel_backend = kernel_backend;
   svc::Server server(opts);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -270,13 +265,10 @@ obs::Json to_json(const RegimeResult& r) {
 int main(int argc, char** argv) {
   static const char* kUsage =
       "bench_svc_load [--requests N] [--molecules N] [--workers a,b,c] "
-      "[--dups a,b,c] [--queue-cap N] [--engine stepped|event|lockstep] "
-      "[--kernel-backend interp|vm|lockstep] "
-      "[--json path] [--no-quantile-check]";
+      "[--dups a,b,c] [--queue-cap N] [--json path] [--no-quantile-check]";
   benchio::check_flags(argc, argv, "bench_svc_load", kUsage,
                        {"--requests", "--molecules", "--workers", "--dups",
-                        "--queue-cap", "--engine", "--kernel-backend",
-                        "--json"},
+                        "--queue-cap", "--json"},
                        {"--no-quantile-check"});
   benchio::JsonOut jout(argc, argv, "bench_svc_load");
 
@@ -292,10 +284,6 @@ int main(int argc, char** argv) {
   const std::size_t queue_cap =
       static_cast<std::size_t>(benchio::int_flag_or_exit(
           argc, argv, "bench_svc_load", "queue-cap", n_requests + 16, kUsage));
-  const sim::SimEngine engine =
-      sim::parse_engine(benchio::engine_flag(argc, argv));
-  const kernel::KernelBackend kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
   bool quantile_check = true;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--no-quantile-check") quantile_check = false;
@@ -319,8 +307,7 @@ int main(int argc, char** argv) {
     for (const int w : workers) {
       const RegimeResult r =
           run_regime(w, static_cast<double>(d) / 100.0, n_requests,
-                     n_molecules, queue_cap, engine, kernel_backend,
-                     quantile_check, reference);
+                     n_molecules, queue_cap, quantile_check, reference);
       failures += r.failures;
       t.add_row({std::to_string(r.workers), std::to_string(d) + "%",
                  std::to_string(r.n_unique), std::to_string(r.simulated),

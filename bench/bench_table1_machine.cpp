@@ -6,6 +6,9 @@
 #include "src/sim/config.h"
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_table1_machine [--json path]";
+  smd::benchio::check_flags(argc, argv, "bench_table1_machine", kUsage,
+                            {"--json"}, {});
   smd::benchio::JsonOut jout(argc, argv, "bench_table1_machine");
   const auto cfg = smd::sim::MachineConfig::merrimac();
   std::printf("== Table 1: Merrimac parameters ==\n%s\n",

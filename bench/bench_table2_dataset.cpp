@@ -16,6 +16,9 @@
 using namespace smd;
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_table2_dataset [--json path]";
+  benchio::check_flags(argc, argv, "bench_table2_dataset", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_table2_dataset");
   const core::Problem problem = core::Problem::make({});
 

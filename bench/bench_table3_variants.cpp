@@ -29,6 +29,10 @@ int main(int argc, char** argv) {
       "bench_table3_variants [--molecules N[,N...]] "
       "[--engine stepped|event|lockstep] "
       "[--kernel-backend interp|vm|lockstep] [--json path]";
+  smd::benchio::check_flags(argc, argv, "bench_table3_variants", kUsage,
+                            {"--molecules", "--engine", "--kernel-backend",
+                             "--json"},
+                            {});
   smd::benchio::JsonOut jout(argc, argv, "bench_table3_variants");
   // Parse (and so validate) every flag up front: a bad value must exit 2
   // before any work, and an engine/backend value even when --molecules is
@@ -38,11 +42,9 @@ int main(int argc, char** argv) {
           ? std::vector<int>{}
           : smd::benchio::molecules_or_exit(argc, argv, "bench_table3_variants",
                                             0, kUsage, /*list=*/true);
-  const smd::sim::SimEngine engine =
-      smd::sim::parse_engine(smd::benchio::engine_flag(argc, argv));
+  const smd::sim::SimEngine engine = smd::benchio::engine_flag(argc, argv);
   const smd::kernel::KernelBackend kernel_backend =
-      smd::kernel::parse_kernel_backend(
-          smd::benchio::kernel_backend_flag(argc, argv));
+      smd::benchio::kernel_backend_flag(argc, argv);
   std::printf("== Table 3: variants of StreamMD ==\n%s\n",
               smd::core::format_variants_table().c_str());
   smd::obs::Json variants = smd::obs::Json::array();

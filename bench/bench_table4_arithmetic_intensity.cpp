@@ -10,12 +10,12 @@
 using namespace smd;
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_table4_arithmetic_intensity [--json path]";
+  benchio::check_flags(argc, argv, "bench_table4_arithmetic_intensity", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_table4_arithmetic_intensity");
   const core::Problem problem = core::Problem::make({});
-  sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-  cfg.engine = sim::parse_engine(benchio::engine_flag(argc, argv));
-  cfg.kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
+  const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
   const auto results = core::run_all_variants(problem, cfg);
   std::printf("== Table 4: arithmetic intensity ==\n%s\n",
               core::format_arithmetic_intensity_table(results).c_str());

@@ -13,6 +13,9 @@
 using namespace smd;
 
 int main(int argc, char** argv) {
+  static const char* kUsage = "bench_table5_watermodels [--json path]";
+  benchio::check_flags(argc, argv, "bench_table5_watermodels", kUsage,
+                       {"--json"}, {});
   benchio::JsonOut jout(argc, argv, "bench_table5_watermodels");
   obs::Json rows = obs::Json::array();
   util::Table t({"Model", "Dipole (computed)", "Dipole (lit.)", "Dielectric",

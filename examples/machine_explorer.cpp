@@ -7,6 +7,7 @@
 // `variable` variant of a mid-size dataset.
 #include <cstdio>
 
+#include "bench/bench_io.h"
 #include "src/core/run.h"
 #include "src/util/table.h"
 
@@ -20,7 +21,9 @@ core::VariantResult run_cfg(const core::Problem& p, sim::MachineConfig cfg) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  benchio::check_flags(argc, argv, "machine_explorer", "machine_explorer",
+                       {}, {});
   core::ExperimentSetup setup;
   setup.n_molecules = 300;
   const core::Problem problem = core::Problem::make(setup);

@@ -6,11 +6,14 @@
 // the headline statistics. Start here; the other examples go deeper.
 #include <cstdio>
 
+#include "bench/bench_io.h"
 #include "src/core/run.h"
 
 using namespace smd;
 
-int main() {
+int main(int argc, char** argv) {
+  benchio::check_flags(argc, argv, "quickstart", "quickstart", {}, {});
+
   // 1. Describe the experiment: a 216-molecule SPC water box with a
   //    1 nm cutoff (use 900 for the paper's full dataset).
   core::ExperimentSetup setup;

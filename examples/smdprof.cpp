@@ -61,18 +61,14 @@ struct Experiment {
   std::vector<core::VariantResult> results;
 };
 
-Experiment run_experiment(int n_molecules, sim::SimEngine engine,
-                          kernel::KernelBackend kernel_backend,
-                          bool variable_only = false) {
+Experiment run_experiment(int n_molecules, bool variable_only = false) {
   core::ExperimentSetup setup;
   setup.n_molecules = n_molecules;
-  std::printf("simulating %d molecules (%s, %s engine)...\n", n_molecules,
-              variable_only ? "variable variant" : "all four variants",
-              sim::engine_name(engine));
   Experiment e{setup, core::Problem::make(setup),
                sim::MachineConfig::merrimac(), {}};
-  e.cfg.engine = engine;
-  e.cfg.kernel_backend = kernel_backend;
+  std::printf("simulating %d molecules (%s, %s engine)...\n", n_molecules,
+              variable_only ? "variable variant" : "all four variants",
+              sim::engine_name(e.cfg.engine));
   if (variable_only) {
     e.results.push_back(
         core::run_variant(e.problem, core::Variant::kVariable, e.cfg));
@@ -304,13 +300,10 @@ int main(int argc, char** argv) {
   static const char* kUsage =
       "smdprof --explain | --roofline | --scaling | --record-baseline path | "
       "--check-baseline path | --diff baseA baseB  [--molecules N] "
-      "[--nodes a,b,c] [--json path] [--trace path] "
-      "[--engine stepped|event|lockstep] "
-      "[--kernel-backend interp|vm|lockstep]";
+      "[--nodes a,b,c] [--json path] [--trace path]";
   benchio::check_flags(argc, argv, "smdprof", kUsage,
                        {"--molecules", "--nodes", "--json", "--trace",
-                        "--engine", "--kernel-backend", "--record-baseline",
-                        "--check-baseline", "--diff"},
+                        "--record-baseline", "--check-baseline", "--diff"},
                        {"--explain", "--roofline", "--scaling"});
   try {
     benchio::JsonOut json(argc, argv, "smdprof");
@@ -347,8 +340,7 @@ int main(int argc, char** argv) {
                    "usage: smdprof --explain | --roofline | --scaling | "
                    "--record-baseline path | --check-baseline path | "
                    "--diff baseA baseB  [--molecules N] [--nodes a,b,c] "
-                   "[--json path] [--trace path] "
-                   "[--engine stepped|event|lockstep]\n");
+                   "[--json path] [--trace path]\n");
       return 2;
     }
 
@@ -368,11 +360,7 @@ int main(int argc, char** argv) {
     // metrics) need all four variants.
     const bool variable_only =
         scaling && !explain && !roofline && record.empty() && check.empty();
-    const Experiment e = run_experiment(
-        n_molecules, sim::parse_engine(benchio::engine_flag(argc, argv)),
-        kernel::parse_kernel_backend(
-            benchio::kernel_backend_flag(argc, argv)),
-        variable_only);
+    const Experiment e = run_experiment(n_molecules, variable_only);
     int status = 0;
     if (explain) status |= run_explain(e, json);
     if (roofline) status |= run_roofline(e, json);

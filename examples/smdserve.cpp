@@ -3,8 +3,7 @@
 // self-checking --demo workload.
 //
 //   smdserve --requests file|-  [--workers N] [--queue-cap N] [--cache path]
-//            [--max-molecules N] [--engine stepped|event|lockstep]
-//            [--json path] [telemetry flags]
+//            [--max-molecules N] [--json path] [telemetry flags]
 //   smdserve --demo [--molecules N] [--workers N] [--queue-cap N]
 //            [--cache path] [--json path] [telemetry flags]
 //
@@ -40,7 +39,7 @@
 //      svc.jobs.simulated counter rose by exactly the number of *unique*
 //      configs (duplicates attached in-flight, simulating nothing);
 //   2. resubmits the same four configs and verifies the server performed
-//      zero additional simulations (in-memory memo / persistent cache).
+//      zero additional simulations (served from its result store).
 // Exit status is non-zero on any payload mismatch or counter violation.
 #include <cstdio>
 #include <iostream>
@@ -335,7 +334,7 @@ int run_demo(int n_molecules, svc::ServerOptions opts, Telemetry& tele,
   std::vector<std::string> want_payload;
   for (const tune::Candidate& c : configs) {
     const std::uint64_t h = svc::request_hash(c, n_molecules, opts.salt);
-    const tune::Metrics m = tune::evaluate(problem, c, opts.engine);
+    const tune::Metrics m = tune::evaluate(problem, c);
     want_payload.push_back(svc::payload_text(h, c, n_molecules, m));
   }
 
@@ -435,13 +434,12 @@ int main(int argc, char** argv) {
   static const char* kUsage =
       "smdserve --requests file|- | --demo  [--molecules N] [--workers N] "
       "[--queue-cap N] [--cache path] [--max-molecules N] "
-      "[--engine stepped|event|lockstep] "
-      "[--kernel-backend interp|vm|lockstep] [--json path] [--trace path] "
+      "[--json path] [--trace path] "
       "[--events path] [--stats path] [--stats-interval ms]";
   benchio::check_flags(argc, argv, "smdserve", kUsage,
                        {"--requests", "--molecules", "--workers",
                         "--queue-cap", "--cache", "--max-molecules",
-                        "--engine", "--kernel-backend", "--json", "--trace",
+                        "--json", "--trace",
                         "--events", "--stats", "--stats-interval"},
                        {"--demo"});
   benchio::JsonOut jout(argc, argv, "smdserve");
@@ -454,9 +452,6 @@ int main(int argc, char** argv) {
   opts.cache_path = benchio::flag_value(argc, argv, "cache");
   opts.max_molecules = benchio::int_flag_or_exit(
       argc, argv, "smdserve", "max-molecules", opts.max_molecules, kUsage);
-  opts.engine = sim::parse_engine(benchio::engine_flag(argc, argv));
-  opts.kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
 
   Telemetry tele;
   tele.trace_path = benchio::flag_value(argc, argv, "trace");

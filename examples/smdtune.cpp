@@ -231,11 +231,10 @@ int main(int argc, char** argv) {
   static const char* kUsage =
       "smdtune --paper | --sweep \"axis=...\" | --list-axes "
       "[--molecules N] [--jobs N] [--cache path] [--prune slack] "
-      "[--json path] [--verbose] [--engine stepped|event|lockstep] "
-      "[--kernel-backend interp|vm|lockstep]";
+      "[--json path] [--verbose]";
   benchio::check_flags(argc, argv, "smdtune", kUsage,
                        {"--sweep", "--molecules", "--jobs", "--cache",
-                        "--prune", "--json", "--engine", "--kernel-backend"},
+                        "--prune", "--json"},
                        {"--paper", "--list-axes", "--verbose"});
   benchio::JsonOut jout(argc, argv, "smdtune");
 
@@ -253,9 +252,6 @@ int main(int argc, char** argv) {
   ropts.prune_slack = benchio::double_flag_or_exit(argc, argv, "smdtune",
                                                    "prune", ropts.prune_slack,
                                                    kUsage);
-  ropts.engine = sim::parse_engine(benchio::engine_flag(argc, argv));
-  ropts.kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
 
   core::ExperimentSetup setup;
   setup.n_molecules =
@@ -277,7 +273,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "usage: smdtune --paper | --sweep \"axis=...\" | --list-axes\n"
                "       [--molecules N] [--jobs N] [--cache path] "
-               "[--prune slack] [--json path] [--verbose]\n"
-               "       [--engine stepped|event|lockstep]\n");
+               "[--prune slack] [--json path] [--verbose]\n");
   return 2;
 }

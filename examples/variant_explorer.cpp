@@ -3,18 +3,32 @@
 // each maps the variable-length neighbor lists onto the SIMD cluster
 // array -- replication, padding, duplication, conditional streams -- and
 // what that does to arithmetic intensity, locality and run time.
-// Optional argv[1]: number of molecules (default 900, the paper dataset).
+// Optional argument: number of molecules (default 900, the paper dataset);
+// a malformed count or one below 1 exits 2.
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "bench/bench_io.h"
 #include "src/core/report.h"
 #include "src/core/run.h"
 
 using namespace smd;
 
 int main(int argc, char** argv) {
+  static const char* kTool = "variant_explorer";
+  static const char* kUsage = "variant_explorer [molecules]";
+  benchio::check_flags(argc, argv, kTool, kUsage, {}, {});
+  if (argc > 2) {
+    benchio::usage_error(kTool,
+                         "unexpected argument '" + std::string(argv[2]) + "'",
+                         kUsage);
+  }
   core::ExperimentSetup setup;
-  if (argc > 1) setup.n_molecules = std::atoi(argv[1]);
+  if (argc > 1) {
+    setup.n_molecules = benchio::molecule_count_or_exit(
+        kTool, "molecules",
+        benchio::int_or_exit(kTool, "molecules", argv[1], kUsage), kUsage);
+  }
 
   const core::Problem problem = core::Problem::make(setup);
   std::printf("dataset: %d molecules, %lld interactions (mean degree %.1f)\n\n",

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cmath>
 
+#include "bench/bench_io.h"
 #include "src/core/run.h"
 #include "src/md/integrator.h"
 
@@ -56,7 +57,8 @@ class MerrimacForceProvider {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  benchio::check_flags(argc, argv, "water_box_md", "water_box_md", {}, {});
   const double cutoff = 0.7;
   const int steps = 10;
 

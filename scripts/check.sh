@@ -84,6 +84,23 @@ for preset in "${presets[@]}"; do
   # the VM's executor cache sits on the multi-threaded tune/svc paths.
   echo "==== kernel VM equivalence sweep (${preset}) ===="
   ctest --preset "${preset}" -R vm_equivalence_test --output-on-failure
+  # Flag contract (bench/bench_io.h check_flags): every bench and example
+  # binary rejects a flag it does not read with exit 2, before any work.
+  # bench_native_kernels hands its flags to google-benchmark, so it only
+  # has to fail.
+  echo "==== unknown flags exit 2 (${preset}) ===="
+  for exe in "${build_dir[${preset}]}"/bench/* "${build_dir[${preset}]}"/examples/*; do
+    [ -f "${exe}" ] && [ -x "${exe}" ] || continue
+    name=$(basename "${exe}")
+    status=0
+    "${exe}" --frobnicate > /dev/null 2>&1 || status=$?
+    if [ "${name}" = bench_native_kernels ]; then
+      [ "${status}" -ne 0 ] || { echo "${name} accepted --frobnicate"; exit 1; }
+    elif [ "${status}" -ne 2 ]; then
+      echo "${name} --frobnicate exited ${status}, want 2"
+      exit 1
+    fi
+  done
   echo "==== smdcheck --all (${preset}) ===="
   "${build_dir[${preset}]}/examples/smdcheck" --all
   echo "==== smdcheck --dataflow --all (${preset}) ===="

@@ -53,7 +53,7 @@ class LatencyHistogram {
   void record(std::int64_t ns);
 
   /// Bucket-wise fold of `other` into this histogram — exact, order
-  /// independent (mirrors CounterRegistry::merge).
+  /// independent.
   void merge(const LatencyHistogram& other);
 
   std::uint64_t count() const;

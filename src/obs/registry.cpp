@@ -1,43 +1,11 @@
 #include "src/obs/registry.h"
 
-#include <algorithm>
-
 namespace smd::obs {
 namespace {
 
 thread_local CounterRegistry* tls_redirect = nullptr;
 
-/// True for gauges that accumulate (ScopedTimer output) rather than sample.
-bool accumulating_gauge(const std::string& name) {
-  static constexpr std::string_view kSuffix = ".seconds";
-  return name.size() >= kSuffix.size() &&
-         std::string_view(name).substr(name.size() - kSuffix.size()) == kSuffix;
-}
-
 }  // namespace
-
-void CounterRegistry::merge(const CounterRegistry& other) {
-  if (&other == this) return;
-  // Copy the source under its own lock, then fold under ours; merge is
-  // main-thread <- worker-shard, so the brief double-buffering is cheap.
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, double> gauges;
-  {
-    const std::lock_guard<std::mutex> lock(other.mu_);
-    counters = other.counters_;
-    gauges = other.gauges_;
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, value] : counters) counters_[name] += value;
-  for (const auto& [name, value] : gauges) {
-    if (accumulating_gauge(name)) {
-      gauges_[name] += value;
-    } else {
-      const auto it = gauges_.find(name);
-      gauges_[name] = it == gauges_.end() ? value : std::max(it->second, value);
-    }
-  }
-}
 
 Json CounterRegistry::to_json() const {
   const std::lock_guard<std::mutex> lock(mu_);

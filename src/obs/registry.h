@@ -6,12 +6,12 @@
 // census alongside the headline metrics.
 //
 // Threading model: every method is internally synchronized, so concurrent
-// simulations (the tune::Runner worker pool) may write the same registry
-// safely. For isolation -- per-worker counters that don't mix until the
-// worker finishes -- a thread can redirect its own view of global() to a
-// private registry with ScopedRegistryRedirect and merge() the shard back
-// when done. merge() is commutative (counters and ".seconds" gauges add,
-// other gauges take the max), so shard merge order doesn't change totals.
+// simulations (the tune::Runner and svc::Server worker pools) write the
+// same registry safely; counters and ".seconds" gauges add, so their
+// totals do not depend on which thread wrote first. To keep a run's
+// counters out of the shared registry (the lockstep engine's shadow run),
+// a thread can redirect its own view of global() to a private registry
+// with ScopedRegistryRedirect.
 #pragma once
 
 #include <chrono>
@@ -69,12 +69,6 @@ class CounterRegistry {
     counters_.clear();
     gauges_.clear();
   }
-
-  /// Fold another registry (typically a per-worker shard) into this one:
-  /// counters add; ".seconds" gauges add (they are accumulated time);
-  /// other gauges keep the maximum, so the result is independent of the
-  /// order shards are merged in.
-  void merge(const CounterRegistry& other);
 
   /// {"counters": {...}, "gauges": {...}} with keys in sorted order.
   Json to_json() const;

@@ -38,16 +38,6 @@ void TraceSink::set_track_name(int pid, int tid, std::string name) {
   track_names_.emplace_back(std::pair{pid, tid}, std::move(name));
 }
 
-void TraceSink::merge(const TraceSink& other) {
-  for (const auto& [pid, name] : other.process_names_) {
-    set_process_name(pid, name);
-  }
-  for (const auto& [key, name] : other.track_names_) {
-    set_track_name(key.first, key.second, name);
-  }
-  events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-}
-
 Json TraceSink::chrome_json() const {
   Json events = Json::array();
   for (const auto& [pid, name] : process_names_) {

@@ -47,13 +47,6 @@ class TraceSink {
   void set_track_name(int pid, int tid, std::string name);
   void add(TraceEvent ev) { events_.push_back(std::move(ev)); }
 
-  /// Absorb `other` into this sink: events are appended, process/track
-  /// names are taken with other's value winning on key collisions (same
-  /// last-write-wins rule as repeated set_*_name calls). Mirrors
-  /// CounterRegistry::merge so per-worker-shard sinks can be folded into
-  /// the process sink after parallel sections.
-  void merge(const TraceSink& other);
-
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
   const std::vector<TraceEvent>& events() const { return events_; }

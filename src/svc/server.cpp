@@ -225,7 +225,7 @@ void Server::shutdown() {
     if (t.joinable()) t.join();
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  if (cache_.enabled() && cache_.dirty()) cache_.save();
+  cache_.save();
 }
 
 void Server::worker_loop() {
@@ -280,19 +280,11 @@ void Server::execute(const std::shared_ptr<InflightJob>& job) {
   JobBounds bounds;
   bounds.exec_ns = exec_ns;
 
-  // ---- Phase: dedup decision + cache lookup (in-memory memo, then the
-  // persistent layer).
+  // ---- Phase: dedup decision + result-store lookup.
   bool have_result = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto mit = memo_.find(job->hash);
-    if (mit != memo_.end()) {
-      outcome.metrics = mit->second.metrics;
-      outcome.payload = mit->second.payload;
-      have_result = true;
-    } else if (cache_.enabled() && cache_.lookup(job->hash, &outcome.metrics)) {
-      have_result = true;  // payload rendered in the serialize phase
-    }
+    have_result = cache_.lookup(job->hash, &outcome.metrics);
   }
   outcome.served_by = have_result ? "cache" : "sim";
   bounds.dedup_ns = obs::monotonic_ns();  // boundary b3
@@ -317,8 +309,7 @@ void Server::execute(const std::shared_ptr<InflightJob>& job) {
         }
       }
       if (any_live) {
-        outcome.metrics = tune::evaluate(*problem, job->config, opts_.engine,
-                                         opts_.kernel_backend);
+        outcome.metrics = tune::evaluate(*problem, job->config);
         reg_.add("svc.jobs.simulated");
       } else {
         outcome.error = ErrorCode::kCancelled;
@@ -333,19 +324,16 @@ void Server::execute(const std::shared_ptr<InflightJob>& job) {
   bounds.simulate_ns = obs::monotonic_ns();  // boundary b4
 
   // ---- Phase: serialize the deterministic payload, once per job.
-  if (outcome.error == ErrorCode::kOk && outcome.payload.empty()) {
+  if (outcome.error == ErrorCode::kOk) {
     outcome.payload = payload_text(job->hash, job->config, job->n_molecules,
                                    outcome.metrics);
   }
   bounds.serialize_ns = obs::monotonic_ns();  // boundary b5
 
-  // Publish into the memo and (for fresh simulations) the persistent layer.
-  if (outcome.error == ErrorCode::kOk) {
+  // Publish a fresh simulation into the result store.
+  if (outcome.error == ErrorCode::kOk && !have_result) {
     const std::lock_guard<std::mutex> lock(mu_);
-    memo_.emplace(job->hash, CachedResult{outcome.metrics, outcome.payload});
-    if (!have_result && cache_.enabled()) {
-      cache_.insert(job->hash, job->config, outcome.metrics);
-    }
+    cache_.insert(job->hash, job->config, outcome.metrics);
   }
 
   // Detach the slots (erasing the in-flight entry) and deliver.

@@ -2,21 +2,22 @@
 //
 // Requests (tune::Candidate-shaped configs + experiment size) are
 // scheduled on a bounded worker pool driving the existing cycle-accurate
-// path through tune::evaluate. Three layers keep duplicate work at zero:
+// path through tune::evaluate. Two mechanisms keep duplicate work at zero:
 //
 //   1. *In-flight dedup*: a request whose config hash matches a queued or
 //      running job attaches to it instead of resimulating -- one
 //      simulation serves every attached requester.
-//   2. *In-memory memo*: results completed during this server's lifetime
-//      are kept by hash; a later identical request is a lookup.
-//   3. *Persistent cache*: the tune::ResultCache on disk; a warm start
-//      serves previously simulated configs with zero simulations.
+//   2. *Result store*: one tune::ResultCache holds every result this
+//      server has computed, by hash, so a later identical request is a
+//      lookup. With a cache path it is loaded at startup and saved at
+//      shutdown, so a warm start serves previously simulated configs with
+//      zero simulations.
 //
 // Determinism invariant (DESIGN.md section 13, in the spirit of the
 // engine-equivalence invariant of section 10): for any worker count and
 // submission order, the response *payload* for a given config hash is
-// byte-identical to a direct single-threaded tune::evaluate run -- dedup,
-// memo and cache are pure reorderings of who computes/reads a result,
+// byte-identical to a direct single-threaded tune::evaluate run -- dedup
+// and the store are pure reorderings of who computes/reads a result,
 // never of the result itself.
 //
 // Cancellation and deadlines are cooperative: checked when a worker picks
@@ -69,7 +70,7 @@ namespace smd::svc {
 struct ServerOptions {
   int workers = 2;            ///< worker threads; < 1 is a config error
   std::size_t queue_cap = 1024;
-  /// Persistent result cache path ("" = in-memory memo only). Loaded at
+  /// Result-store file ("" = the store stays in memory). Loaded at
   /// construction (warm hit => zero simulations), saved at shutdown via
   /// an atomic temp-file + rename write.
   std::string cache_path;
@@ -78,10 +79,6 @@ struct ServerOptions {
   /// ask for (the simulator runs one force step, so molecules x steps
   /// reduces to molecules). Over-budget requests reject structurally.
   int max_molecules = 1 << 20;
-  sim::SimEngine engine = sim::SimEngine::kEvent;
-  /// Functional kernel executor for every job (bit-identical backends;
-  /// DESIGN.md section 17). kLockstep cross-checks each evaluation.
-  kernel::KernelBackend kernel_backend = kernel::KernelBackend::kVm;
   /// Keep every request's span tree in spans() (memory grows with
   /// request count; meant for traced runs, not unbounded serving).
   bool record_spans = false;
@@ -224,10 +221,6 @@ class Server {
   obs::Json stats_json() const;
 
  private:
-  struct CachedResult {
-    tune::Metrics metrics;
-    std::string payload;
-  };
   struct JobOutcome {
     ErrorCode error = ErrorCode::kOk;
     std::string message;
@@ -279,12 +272,11 @@ class Server {
   obs::LatencyHistogram hist_serialize_;
   obs::LatencyHistogram hist_total_;
 
-  mutable std::mutex mu_;  // inflight_, by_id_, memo_, cache_, outstanding_
+  mutable std::mutex mu_;  // inflight_, by_id_, cache_, outstanding_
   std::condition_variable drain_cv_;
   std::unordered_map<std::uint64_t, std::shared_ptr<InflightJob>> inflight_;
   std::unordered_multimap<std::string, std::shared_ptr<RequestSlot>> by_id_;
-  std::unordered_map<std::uint64_t, CachedResult> memo_;
-  tune::ResultCache cache_;
+  tune::ResultCache cache_;  ///< every finished result, by request hash
   std::size_t outstanding_ = 0;
   bool shutdown_ = false;
 

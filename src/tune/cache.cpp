@@ -5,9 +5,38 @@
 #include <stdexcept>
 
 #include "src/obs/registry.h"
-#include "src/tune/runner.h"
 
 namespace smd::tune {
+
+obs::Json Metrics::to_json() const {
+  obs::Json j = obs::Json::object();
+  j.set("time_ms", time_ms);
+  j.set("cycles", static_cast<std::int64_t>(cycles));
+  j.set("mem_words", mem_words);
+  j.set("srf_peak_words", srf_peak_words);
+  j.set("kernel_busy_cycles", static_cast<std::int64_t>(kernel_busy_cycles));
+  j.set("mem_busy_cycles", static_cast<std::int64_t>(mem_busy_cycles));
+  j.set("solution_gflops", solution_gflops);
+  j.set("max_force_rel_err", max_force_rel_err);
+  j.set("source", source);
+  return j;
+}
+
+Metrics Metrics::from_json(const obs::Json& j) {
+  Metrics m;
+  m.time_ms = j.at("time_ms").as_double();
+  m.cycles = static_cast<std::uint64_t>(j.at("cycles").as_int());
+  m.mem_words = j.at("mem_words").as_int();
+  m.srf_peak_words = j.at("srf_peak_words").as_int();
+  m.kernel_busy_cycles =
+      static_cast<std::uint64_t>(j.at("kernel_busy_cycles").as_int());
+  m.mem_busy_cycles =
+      static_cast<std::uint64_t>(j.at("mem_busy_cycles").as_int());
+  m.solution_gflops = j.at("solution_gflops").as_double();
+  m.max_force_rel_err = j.at("max_force_rel_err").as_double();
+  m.source = j.at("source").as_string();
+  return m;
+}
 
 std::string hash_hex(std::uint64_t h) {
   char buf[17];
@@ -29,9 +58,9 @@ ResultCache::ResultCache(std::string path, std::string salt)
     : path_(std::move(path)), salt_(std::move(salt)) {}
 
 std::size_t ResultCache::load() {
+  if (!enabled()) return 0;
   entries_.clear();
   dirty_ = false;
-  if (!enabled()) return 0;
   std::ifstream in(path_);
   if (!in.good()) return 0;  // missing file: empty cache
   obs::Json doc;
@@ -57,10 +86,8 @@ std::size_t ResultCache::load() {
     // skipped -- it will simply re-simulate -- instead of discarding the
     // whole cache or throwing out of a warm start.
     try {
-      Entry e;
-      e.config = value.at("config");
-      e.metrics = value.at("metrics");
-      (void)Metrics::from_json(e.metrics);  // must parse back as metrics
+      Entry e{Candidate::from_json(value.at("config")),
+              Metrics::from_json(value.at("metrics"))};
       entries_.emplace(parse_hash_hex(key), std::move(e));
     } catch (const std::exception&) {
       obs::CounterRegistry::global().add("tune.cache.load_skipped");
@@ -72,17 +99,13 @@ std::size_t ResultCache::load() {
 bool ResultCache::lookup(std::uint64_t hash, Metrics* out) const {
   const auto it = entries_.find(hash);
   if (it == entries_.end()) return false;
-  *out = Metrics::from_json(it->second.metrics);
+  *out = it->second.metrics;
   return true;
 }
 
 void ResultCache::insert(std::uint64_t hash, const Candidate& cand,
                          const Metrics& m) {
-  if (!enabled()) return;
-  Entry e;
-  e.config = cand.to_json();
-  e.metrics = m.to_json();
-  entries_[hash] = std::move(e);
+  entries_.insert_or_assign(hash, Entry{cand, m});
   dirty_ = true;
 }
 
@@ -91,8 +114,8 @@ void ResultCache::save() {
   obs::Json entries = obs::Json::object();
   for (const auto& [hash, entry] : entries_) {
     obs::Json e = obs::Json::object();
-    e.set("config", entry.config);
-    e.set("metrics", entry.metrics);
+    e.set("config", entry.config.to_json());
+    e.set("metrics", entry.metrics.to_json());
     entries.set(hash_hex(hash), std::move(e));
   }
   obs::Json doc = obs::Json::object();

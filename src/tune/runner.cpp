@@ -34,41 +34,8 @@ Metrics metrics_from_estimate(const core::AnalyticEstimate& e,
 
 }  // namespace
 
-obs::Json Metrics::to_json() const {
-  obs::Json j = obs::Json::object();
-  j.set("time_ms", time_ms);
-  j.set("cycles", static_cast<std::int64_t>(cycles));
-  j.set("mem_words", mem_words);
-  j.set("srf_peak_words", srf_peak_words);
-  j.set("kernel_busy_cycles", static_cast<std::int64_t>(kernel_busy_cycles));
-  j.set("mem_busy_cycles", static_cast<std::int64_t>(mem_busy_cycles));
-  j.set("solution_gflops", solution_gflops);
-  j.set("max_force_rel_err", max_force_rel_err);
-  j.set("source", source);
-  return j;
-}
-
-Metrics Metrics::from_json(const obs::Json& j) {
-  Metrics m;
-  m.time_ms = j.at("time_ms").as_double();
-  m.cycles = static_cast<std::uint64_t>(j.at("cycles").as_int());
-  m.mem_words = j.at("mem_words").as_int();
-  m.srf_peak_words = j.at("srf_peak_words").as_int();
-  m.kernel_busy_cycles =
-      static_cast<std::uint64_t>(j.at("kernel_busy_cycles").as_int());
-  m.mem_busy_cycles =
-      static_cast<std::uint64_t>(j.at("mem_busy_cycles").as_int());
-  m.solution_gflops = j.at("solution_gflops").as_double();
-  m.max_force_rel_err = j.at("max_force_rel_err").as_double();
-  m.source = j.at("source").as_string();
-  return m;
-}
-
-Metrics evaluate(const core::Problem& problem, const Candidate& cand,
-                 sim::SimEngine engine, kernel::KernelBackend backend) {
-  sim::MachineConfig cfg = cand.machine();
-  cfg.engine = engine;
-  cfg.kernel_backend = backend;
+Metrics evaluate(const core::Problem& problem, const Candidate& cand) {
+  const sim::MachineConfig cfg = cand.machine();
   {
     analysis::Diagnostics diags = cfg.validate();
     if (diags.errors() > 0) throw analysis::CheckFailure(std::move(diags));
@@ -229,31 +196,22 @@ std::vector<EvalResult> Runner::run(const std::vector<Candidate>& cands) {
   // ---- Parallel evaluation. -----------------------------------------------
   std::atomic<std::size_t> next{0};
   auto worker = [&]() {
-    // Each worker owns a registry shard: per-run counters and timers from
-    // the simulator accumulate privately and merge (commutatively) on
-    // retirement, so totals match the single-threaded run exactly.
-    obs::CounterRegistry shard;
-    {
-      obs::ScopedRegistryRedirect redirect(shard);
-      while (true) {
-        const std::size_t k = next.fetch_add(1);
-        if (k >= runs.size()) break;
-        EvalResult& r = out[runs[k]];
-        try {
-          r.metrics =
-              evaluate(problem_, r.cand, opts_.engine, opts_.kernel_backend);
-          obs::CounterRegistry::global().add("tune.evaluated");
-        } catch (const std::exception& e) {
-          r.error = e.what();
-          obs::CounterRegistry::global().add("tune.errors");
-        }
-        if (opts_.verbose) {
-          std::printf("tune: %-40s %s\n", r.cand.label().c_str(),
-                      r.ok() ? "done" : ("error: " + r.error).c_str());
-        }
+    while (true) {
+      const std::size_t k = next.fetch_add(1);
+      if (k >= runs.size()) break;
+      EvalResult& r = out[runs[k]];
+      try {
+        r.metrics = evaluate(problem_, r.cand);
+        reg.add("tune.evaluated");
+      } catch (const std::exception& e) {
+        r.error = e.what();
+        reg.add("tune.errors");
+      }
+      if (opts_.verbose) {
+        std::printf("tune: %-40s %s\n", r.cand.label().c_str(),
+                    r.ok() ? "done" : ("error: " + r.error).c_str());
       }
     }
-    obs::CounterRegistry::global().merge(shard);
   };
 
   const int jobs = std::max(

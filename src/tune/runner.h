@@ -2,11 +2,11 @@
 //
 // Evaluates a candidate list through the existing cycle-accurate path
 // (core::run_variant -> sim::Machine) on a std::thread worker pool. Each
-// worker owns its simulator and an obs registry shard (ScopedRegistryRedirect),
-// so per-run counters and timelines never interleave across workers; shards
-// merge into the process registry when the worker retires. Results are
-// written by candidate index, so the output -- and, with a cache, the file
-// on disk -- is byte-identical for any --jobs value.
+// worker owns its simulator and writes counters straight to the shared,
+// mutex-guarded obs registry, where they add, so every counter total is
+// the same at any --jobs. Results are written by candidate index, so the
+// output -- and, with a cache, the file on disk -- is byte-identical for
+// any --jobs value.
 //
 // Before paying for simulation, an analytical pre-pass estimates every
 // candidate via core/blocking (layout traffic + real kernel schedule, or
@@ -26,30 +26,10 @@
 
 #include "src/core/blocking.h"
 #include "src/core/run.h"
-#include "src/obs/json.h"
 #include "src/tune/cache.h"
 #include "src/tune/space.h"
 
 namespace smd::tune {
-
-/// Everything measured (or, for pruned candidates, estimated) for one
-/// candidate. The persistent cache stores exactly this struct.
-struct Metrics {
-  double time_ms = 0.0;
-  std::uint64_t cycles = 0;
-  std::int64_t mem_words = 0;         ///< memory traffic, words
-  std::int64_t srf_peak_words = 0;    ///< SRF pressure
-  std::uint64_t kernel_busy_cycles = 0;
-  std::uint64_t mem_busy_cycles = 0;
-  double solution_gflops = 0.0;
-  double max_force_rel_err = 0.0;
-  /// "sim" (full cycle-accurate run), "blocked_profile" (scheduled-kernel
-  /// estimate of the blocking scheme), or "estimate" (pruned candidate).
-  std::string source;
-
-  obs::Json to_json() const;
-  static Metrics from_json(const obs::Json& j);
-};
 
 struct EvalResult {
   Candidate cand;
@@ -75,26 +55,13 @@ struct RunnerOptions {
   /// least `slack` times better on *both* run time and memory traffic.
   double prune_slack = 0.0;
   bool verbose = false;
-  /// Simulation core for every candidate run. The engines produce
-  /// bit-identical metrics (DESIGN.md section 10), so this is not a sweep
-  /// axis and is deliberately excluded from config hashes: cached results
-  /// stay valid across engines. kLockstep turns every evaluation into a
-  /// stepped-vs-event cross-check.
-  sim::SimEngine engine = sim::SimEngine::kEvent;
-  /// Functional kernel executor for every candidate run. Like `engine`,
-  /// the backends are bit-identical (DESIGN.md section 17), so this is
-  /// not a sweep axis and is excluded from config hashes.
-  kernel::KernelBackend kernel_backend = kernel::KernelBackend::kVm;
 };
 
-/// Evaluate one candidate synchronously (what pool workers call):
-/// validates the machine config, then either a full simulated variant run
-/// (blocking_cells == 0) or the blocked-implementation profile.
-/// Throws on invalid configurations.
-Metrics evaluate(
-    const core::Problem& problem, const Candidate& cand,
-    sim::SimEngine engine = sim::SimEngine::kEvent,
-    kernel::KernelBackend backend = kernel::KernelBackend::kVm);
+/// Evaluate one candidate synchronously (what pool workers call) on
+/// Candidate::machine(): validates the machine config, then either a full
+/// simulated variant run (blocking_cells == 0) or the blocked-
+/// implementation profile. Throws on invalid configurations.
+Metrics evaluate(const core::Problem& problem, const Candidate& cand);
 
 /// The cheap analytic estimate of one candidate (the pruning pre-pass).
 core::AnalyticEstimate estimate(const core::Problem& problem,

@@ -254,39 +254,33 @@ TEST(Registry, ConcurrentAddsAreLossFree) {
   EXPECT_EQ(reg.counter("shared.hits"), kThreads * kAdds);
 }
 
-TEST(Registry, RedirectShardsThenMergeMatchesSerial) {
-  // Workers write through CounterRegistry::global() while a
-  // ScopedRegistryRedirect points it at a per-thread shard; merging the
-  // shards afterwards must equal one thread doing all the work, regardless
-  // of merge order (merge is commutative: counters and .seconds gauges add,
-  // other gauges take the max).
+// Workers write through CounterRegistry::global() while a
+// ScopedRegistryRedirect points it at a registry of their own (the
+// lockstep engine hides its shadow run this way): each worker's writes
+// land only in its own registry, and none reach the process registry.
+TEST(Registry, RedirectKeepsEachWorkerInItsOwnRegistry) {
   constexpr int kThreads = 4, kAdds = 500;
-  std::vector<CounterRegistry> shards(kThreads);
+  std::vector<CounterRegistry> targets(kThreads);
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&shards, t] {
-      ScopedRegistryRedirect redirect(shards[static_cast<std::size_t>(t)]);
-      for (int i = 0; i < kAdds; ++i) {
+    pool.emplace_back([&targets, t] {
+      ScopedRegistryRedirect redirect(targets[static_cast<std::size_t>(t)]);
+      for (int i = 0; i < kAdds + t; ++i) {
         CounterRegistry::global().add("worker.ops");
       }
       CounterRegistry::global().set_gauge("worker.rank", static_cast<double>(t));
-      CounterRegistry::global().set_gauge("worker.seconds", 0.25);
     });
   }
   for (auto& th : pool) th.join();
 
-  CounterRegistry forward, backward;
   for (int t = 0; t < kThreads; ++t) {
-    forward.merge(shards[static_cast<std::size_t>(t)]);
-    backward.merge(shards[static_cast<std::size_t>(kThreads - 1 - t)]);
+    const CounterRegistry& target = targets[static_cast<std::size_t>(t)];
+    EXPECT_EQ(target.counter("worker.ops"), kAdds + t);
+    EXPECT_DOUBLE_EQ(target.gauge("worker.rank"), static_cast<double>(t));
   }
-  EXPECT_EQ(forward.counter("worker.ops"), kThreads * kAdds);
-  EXPECT_DOUBLE_EQ(forward.gauge("worker.rank"), kThreads - 1.0);  // max
-  EXPECT_DOUBLE_EQ(forward.gauge("worker.seconds"), 0.25 * kThreads);  // sum
-  EXPECT_EQ(forward.to_json().dump(), backward.to_json().dump());
-
   // The redirect was scoped: none of it leaked into the process registry.
   EXPECT_EQ(CounterRegistry::process().counter("worker.ops"), 0);
+  EXPECT_EQ(&CounterRegistry::global(), &CounterRegistry::process());
 }
 
 TEST(TraceSink, ChromeJsonParsesBack) {
@@ -328,72 +322,6 @@ TEST(TraceSink, ChromeJsonParsesBack) {
       EXPECT_DOUBLE_EQ(e.at("dur").as_double(), 0.25);
     }
   }
-}
-
-TEST(TraceSink, MergeCombinesEventsAndDedupesTrackNames) {
-  TraceSink a, b;
-  a.set_process_name(0, "run");
-  a.set_track_name(0, 0, "clusters (kernel)");
-  a.add({"kernel k", "kernel", 0, 0, 0, 100, {}});
-  b.set_process_name(0, "run");             // same key: must not duplicate
-  b.set_track_name(0, 0, "clusters (kernel)");
-  b.set_track_name(0, 1, "memory (SDR 0)");
-  b.add({"load s0", "memory", 0, 1, 50, 80, {}});
-  a.merge(b);
-  EXPECT_EQ(a.size(), 2u);
-  int n_meta = 0;
-  const Json doc = a.chrome_json();
-  for (const Json& e : doc.at("traceEvents").elements()) {
-    if (e.at("ph").as_string() == "M") ++n_meta;
-  }
-  EXPECT_EQ(n_meta, 3);  // one process_name + two thread_names, no dupes
-}
-
-// Parallel tuner workers each trace into a private sink while their
-// counters go through a ScopedRegistryRedirect shard; folding the shards
-// into the process sink afterwards must land every worker's events exactly
-// once, whatever the merge order. Run under the `tsan` preset to prove the
-// shards really are thread-confined.
-TEST(TraceSink, WorkerShardEventsLandExactlyOnceAfterMerge) {
-  constexpr int kThreads = 4, kEvents = 50;
-  std::vector<TraceSink> sinks(kThreads);
-  std::vector<CounterRegistry> regs(kThreads);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&sinks, &regs, t] {
-      ScopedRegistryRedirect redirect(regs[static_cast<std::size_t>(t)]);
-      TraceSink& sink = sinks[static_cast<std::size_t>(t)];
-      sink.set_process_name(t, "worker " + std::to_string(t));
-      for (int i = 0; i < kEvents; ++i) {
-        sink.add({"ev " + std::to_string(t) + "." + std::to_string(i),
-                  "kernel", t, 0, static_cast<std::uint64_t>(i) * 10, 10, {}});
-        CounterRegistry::global().add("trace.events");
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-
-  TraceSink forward, backward;
-  CounterRegistry counters;
-  for (int t = 0; t < kThreads; ++t) {
-    forward.merge(sinks[static_cast<std::size_t>(t)]);
-    backward.merge(sinks[static_cast<std::size_t>(kThreads - 1 - t)]);
-    counters.merge(regs[static_cast<std::size_t>(t)]);
-  }
-  ASSERT_EQ(forward.size(), kThreads * kEvents);
-  ASSERT_EQ(backward.size(), kThreads * kEvents);
-  // The sinks and the counter shards agree on the event count.
-  EXPECT_EQ(counters.counter("trace.events"),
-            static_cast<std::int64_t>(forward.size()));
-  // Every (name) is distinct, so exactly-once is checkable by uniqueness.
-  std::vector<std::string> names;
-  for (const TraceEvent& e : forward.events()) names.push_back(e.name);
-  std::sort(names.begin(), names.end());
-  EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
-  // Merge order changes event interleaving but not the slice multiset:
-  // both orders serialize the same number of slices and metadata records.
-  EXPECT_EQ(forward.chrome_json().at("traceEvents").size(),
-            backward.chrome_json().at("traceEvents").size());
 }
 
 // Timer snapshot consistency under concurrency: add_seconds updates the

@@ -1,11 +1,11 @@
 // Tests for the simulation service (src/svc/): wire-format round-trips
 // and strictness, job-queue ordering and bounds, server lifecycle and
-// structured rejections, the three dedup layers, cancellation and
-// deadlines, and the two cross-cutting properties DESIGN.md section 13
-// pins down -- counter conservation (submitted == completed + cancelled +
-// rejected) and payload byte-identity across worker counts. The whole
-// binary runs under the tsan preset in scripts/check.sh, so every
-// assertion here doubles as a data-race probe.
+// structured rejections, in-flight dedup and the result store,
+// cancellation and deadlines, and the two cross-cutting properties
+// DESIGN.md section 13 pins down -- counter conservation (submitted ==
+// completed + cancelled + rejected) and payload byte-identity across
+// worker counts. The whole binary runs under the tsan preset in
+// scripts/check.sh, so every assertion here doubles as a data-race probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -492,7 +492,7 @@ TEST(Server, DuplicatesSimulateExactlyOnce) {
   EXPECT_EQ(d.completed, 6);
   EXPECT_EQ(d.simulated, 1) << "duplicates must attach, not re-simulate";
 
-  // Resubmission after completion: in-memory memo, still no simulation.
+  // Resubmission after completion: the result store, still no simulation.
   const Response again = server.submit(small_request("again")).wait();
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.payload, payload);
@@ -524,6 +524,48 @@ TEST(Server, WarmPersistentCacheServesWithZeroSimulations) {
   const Deltas d = probe.delta();
   EXPECT_EQ(d.simulated, 0);
   EXPECT_EQ(d.cache_hit, 1);
+  std::remove(path.c_str());
+}
+
+// One result store: with a cache path, a repeat request is a store hit
+// like a warm start's -- no simulation, the payload a direct run renders
+// -- and the file saved at shutdown holds the one result once.
+TEST(Server, RepeatWithACachePathIsServedFromTheStore) {
+  const std::string path = testing::TempDir() + "/svc_test_repeat.json";
+  std::remove(path.c_str());
+  core::ExperimentSetup setup;
+  setup.n_molecules = kSmall;
+  const core::Problem problem = core::Problem::make(setup);
+  tune::Candidate cand;
+  cand.variant = core::Variant::kDuplicated;
+  const std::uint64_t hash = request_hash(cand, kSmall, tune::kModelVersion);
+  const std::string want =
+      payload_text(hash, cand, kSmall, tune::evaluate(problem, cand));
+
+  ServerOptions opts;
+  opts.workers = 2;
+  opts.cache_path = path;
+  {
+    Server server(opts);
+    const Response first =
+        server.submit(small_request("first", cand.variant)).wait();
+    ASSERT_TRUE(first.ok()) << first.message;
+    EXPECT_EQ(first.served_by, "sim");
+    EXPECT_EQ(first.payload, want);
+    CounterProbe probe;
+    const Response again =
+        server.submit(small_request("again", cand.variant)).wait();
+    ASSERT_TRUE(again.ok()) << again.message;
+    EXPECT_EQ(again.served_by, "cache");
+    EXPECT_EQ(again.payload, want) << "store hit differs from a direct run";
+    const Deltas d = probe.delta();
+    EXPECT_EQ(d.simulated, 0);
+    EXPECT_EQ(d.cache_hit, 1);
+  }  // shutdown saves the store
+  tune::ResultCache saved(path, tune::kModelVersion);
+  EXPECT_EQ(saved.load(), 1u);
+  tune::Metrics m;
+  EXPECT_TRUE(saved.lookup(hash, &m));
   std::remove(path.c_str());
 }
 
