@@ -125,7 +125,8 @@ int main(int argc, char** argv) {
   benchio::check_flags(argc, argv, "bench_fig7_overlap", kUsage,
                        {"--json", "--trace"}, {});
   benchio::JsonOut jout(argc, argv, "bench_fig7_overlap");
-  const std::string trace_path = benchio::flag_value(argc, argv, "trace");
+  const std::string trace_path =
+      benchio::output_path_or_exit(argc, argv, "trace");
   const core::Problem problem = core::Problem::make({});
 
   // The flawed allocator effectively left only a strip's worth of SDRs

@@ -1,10 +1,10 @@
 // Shared argument handling for the bench and example binaries. Every
 // binary but bench_native_kernels (which hands its flags to
 // google-benchmark) first validates argv with check_flags -- an unknown
-// flag exits 2 -- then constructs a JsonOut, fills its record with the
-// numbers it prints, and the record is written on scope exit -- so a run
-// with `--json out.json` leaves a diffable BENCH_*.json artifact next to
-// the human-readable table output.
+// flag or a stray argument exits 2 -- then constructs a JsonOut, fills
+// its record with the numbers it prints, and the record is written on
+// scope exit -- so a run with `--json out.json` leaves a diffable
+// BENCH_*.json artifact next to the human-readable table output.
 #pragma once
 
 #include <cstdio>
@@ -55,15 +55,19 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
 /// Strict argv validation for the smd* drivers: every `--token` must be a
 /// known value-taking flag (its value, the next argv entry, is skipped --
 /// and must exist) or a known boolean flag; anything else exits 2 with
-/// the usage hint. Tokens not starting with "--" are positionals (e.g.
-/// the second baseline of `smdprof --diff A B`) and are left to the tool.
-inline void check_flags(int argc, char** argv, const char* tool,
-                        const char* usage,
-                        std::initializer_list<const char*> value_flags,
-                        std::initializer_list<const char*> bool_flags) {
+/// the usage hint. A boolean flag need not start with "--" (streammd_cli's
+/// `-h`). Any other token is a positional: a tool takes at most
+/// `max_positionals` of them (the second baseline of `smdprof --diff A
+/// B`, variant_explorer's molecule count), returned in order; one more --
+/// a stray word, a single-dash `-molecules` -- exits 2 with the usage hint.
+inline std::vector<std::string> check_flags(
+    int argc, char** argv, const char* tool, const char* usage,
+    std::initializer_list<const char*> value_flags,
+    std::initializer_list<const char*> bool_flags,
+    std::size_t max_positionals = 0) {
+  std::vector<std::string> positionals;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
     bool known = false;
     for (const char* f : bool_flags) {
       if (arg == f) {
@@ -83,8 +87,16 @@ inline void check_flags(int argc, char** argv, const char* tool,
         }
       }
     }
-    if (!known) usage_error(tool, "unknown flag '" + arg + "'", usage);
+    if (known) continue;
+    if (arg.rfind("--", 0) == 0) {
+      usage_error(tool, "unknown flag '" + arg + "'", usage);
+    }
+    if (positionals.size() >= max_positionals) {
+      usage_error(tool, "unexpected argument '" + arg + "'", usage);
+    }
+    positionals.push_back(arg);
   }
+  return positionals;
 }
 
 /// `v` as an int; a malformed or trailing-garbage value exits 2 through
@@ -254,18 +266,27 @@ inline bool writable(const std::string& path) {
   return true;
 }
 
+/// `--<name> <path>` for an output file, or "" when absent. A path that
+/// cannot be written exits 1 with `error: cannot open for writing`, so a
+/// bad path fails before any work instead of after it.
+inline std::string output_path_or_exit(int argc, char** argv,
+                                       const std::string& name) {
+  std::string path = flag_value(argc, argv, name);
+  if (!path.empty() && !writable(path)) {
+    std::fprintf(stderr, "error: cannot open for writing: %s\n", path.c_str());
+    std::exit(1);
+  }
+  return path;
+}
+
 /// The `--json <path>` record of a binary, written on scope exit. The
 /// constructor checks that the path can be written and exits 1 if not, so
 /// an unwritable path fails before any work instead of after it.
 class JsonOut {
  public:
   JsonOut(int argc, char** argv, std::string bench_name)
-      : path_(flag_value(argc, argv, "json")), root_(obs::Json::object()) {
-    if (!path_.empty() && !writable(path_)) {
-      std::fprintf(stderr, "error: cannot open for writing: %s\n",
-                   path_.c_str());
-      std::exit(1);
-    }
+      : path_(output_path_or_exit(argc, argv, "json")),
+        root_(obs::Json::object()) {
     root_.set("schema_version", core::kBenchSchemaVersion);
     root_.set("bench", std::move(bench_name));
   }

@@ -82,6 +82,8 @@ int main(int argc, char** argv) {
                         "--trace", "--json"},
                        {});
   benchio::JsonOut jout(argc, argv, "bench_scaling_multinode");
+  const std::string trace_path =
+      benchio::output_path_or_exit(argc, argv, "trace");
 
   std::vector<std::int64_t> nodes = {1, 2, 4, 8, 16, 32, 64};
   const std::string nodes_flag = benchio::flag_value(argc, argv, "nodes");
@@ -98,6 +100,13 @@ int main(int argc, char** argv) {
   core::ExperimentSetup setup;
   setup.n_molecules = benchio::molecules_or_exit(
       argc, argv, "bench_scaling_multinode", setup.n_molecules, kUsage).front();
+  // The scaled-up box is modelled, not simulated, but its size follows the
+  // same --molecules rule. Default: a 128x larger box.
+  const int large_molecules = benchio::molecule_count_or_exit(
+      "bench_scaling_multinode", "--large-molecules",
+      benchio::int_flag_or_exit(argc, argv, "bench_scaling_multinode",
+                                "large-molecules", 115200, kUsage),
+      kUsage);
   const core::Problem problem = core::Problem::make(setup);
   const auto variable = core::run_variant(problem, core::Variant::kVariable);
 
@@ -117,9 +126,7 @@ int main(int argc, char** argv) {
   sweep(title, net::ScalingModel(w, net::NetworkConfig{}), nodes);
 
   net::ScalingWorkload big = w;
-  big.n_molecules = 115200;  // 128x larger box by default
-  const std::string big_flag = benchio::flag_value(argc, argv, "large-molecules");
-  if (!big_flag.empty()) big.n_molecules = std::stoll(big_flag);
+  big.n_molecules = large_molecules;
   std::snprintf(title, sizeof title, "scaled-up system: %lld molecules",
                 static_cast<long long>(big.n_molecules));
   sweep(title, net::ScalingModel(big, net::NetworkConfig{}), nodes);
@@ -136,7 +143,6 @@ int main(int argc, char** argv) {
   jout.root().set("large_system",
                   sweep_json(net::ScalingModel(big, net::NetworkConfig{}), nodes));
 
-  const std::string trace_path = benchio::flag_value(argc, argv, "trace");
   if (!trace_path.empty()) {
     obs::TraceSink sink;
     const net::ScalingModel model(w, net::NetworkConfig{});

@@ -36,7 +36,6 @@
 // tolerance. BENCH_baseline.json at the repo root is the committed
 // baseline that scripts/check.sh gates on.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -301,26 +300,28 @@ int main(int argc, char** argv) {
       "smdprof --explain | --roofline | --scaling | --record-baseline path | "
       "--check-baseline path | --diff baseA baseB  [--molecules N] "
       "[--nodes a,b,c] [--json path] [--trace path]";
-  benchio::check_flags(argc, argv, "smdprof", kUsage,
-                       {"--molecules", "--nodes", "--json", "--trace",
-                        "--record-baseline", "--check-baseline", "--diff"},
-                       {"--explain", "--roofline", "--scaling"});
+  // The one positional is the second baseline of --diff A B.
+  const std::vector<std::string> positionals = benchio::check_flags(
+      argc, argv, "smdprof", kUsage,
+      {"--molecules", "--nodes", "--json", "--trace", "--record-baseline",
+       "--check-baseline", "--diff"},
+      {"--explain", "--roofline", "--scaling"}, 1);
+  const std::string diff = benchio::flag_value(argc, argv, "diff");
+  if (diff.empty() && !positionals.empty()) {
+    benchio::usage_error("smdprof",
+                         "unexpected argument '" + positionals.front() + "'",
+                         kUsage);
+  }
   try {
     benchio::JsonOut json(argc, argv, "smdprof");
 
-    const std::string diff = benchio::flag_value(argc, argv, "diff");
     if (!diff.empty()) {
-      // --diff A B: A is the flag value, B the argument after it.
-      std::string other;
-      for (int i = 1; i + 2 < argc; ++i) {
-        if (std::strcmp(argv[i], "--diff") == 0) other = argv[i + 2];
-      }
-      if (other.empty()) {
+      if (positionals.empty()) {
         std::fprintf(stderr, "usage: smdprof --diff baseA baseB\n");
         return 2;
       }
       const prof::Baseline a = prof::Baseline::load(diff);
-      const prof::Baseline b = prof::Baseline::load(other);
+      const prof::Baseline b = prof::Baseline::load(positionals.front());
       const prof::CompareReport rep = prof::compare(a, b);
       std::fputs(prof::format_compare(rep).c_str(), stdout);
       return rep.ok() ? 0 : 1;

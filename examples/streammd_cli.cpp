@@ -17,7 +17,6 @@
 //
 // Prints the Figure 8/9-style metrics for the requested run(s) and exits
 // non-zero if any variant fails force validation.
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -46,22 +45,11 @@ int main(int argc, char** argv) {
                             "--seed",    "--list-length", "--clusters",
                             "--unroll",  "--json",        "--trace"};
   benchio::check_flags(argc, argv, kTool, kUsage, value_flags,
-                       {"--sdr-conservative", "--timeline", "--help"});
-  // check_flags leaves tokens without "--" to the tool; this one takes
-  // none besides -h.
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::printf("usage: %s\n", kUsage);
-      return 0;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      benchio::usage_error(kTool, "unexpected argument '" + arg + "'", kUsage);
-    }
-    if (std::find(value_flags.begin(), value_flags.end(), arg) !=
-        value_flags.end()) {
-      ++i;  // the flag's value
-    }
+                       {"--sdr-conservative", "--timeline", "--help", "-h"});
+  if (benchio::has_flag(argc, argv, "--help") ||
+      benchio::has_flag(argc, argv, "-h")) {
+    std::printf("usage: %s\n", kUsage);
+    return 0;
   }
 
   core::ExperimentSetup setup;

@@ -7,6 +7,7 @@
 // a malformed count or one below 1 exits 2.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_io.h"
 #include "src/core/report.h"
@@ -17,17 +18,13 @@ using namespace smd;
 int main(int argc, char** argv) {
   static const char* kTool = "variant_explorer";
   static const char* kUsage = "variant_explorer [molecules]";
-  benchio::check_flags(argc, argv, kTool, kUsage, {}, {});
-  if (argc > 2) {
-    benchio::usage_error(kTool,
-                         "unexpected argument '" + std::string(argv[2]) + "'",
-                         kUsage);
-  }
+  const std::vector<std::string> args =
+      benchio::check_flags(argc, argv, kTool, kUsage, {}, {}, 1);
   core::ExperimentSetup setup;
-  if (argc > 1) {
+  if (!args.empty()) {
     setup.n_molecules = benchio::molecule_count_or_exit(
         kTool, "molecules",
-        benchio::int_or_exit(kTool, "molecules", argv[1], kUsage), kUsage);
+        benchio::int_or_exit(kTool, "molecules", args.front(), kUsage), kUsage);
   }
 
   const core::Problem problem = core::Problem::make(setup);

@@ -6,7 +6,8 @@
 #   scripts/check.sh            # both configurations
 #   scripts/check.sh default    # just the default build
 #   scripts/check.sh asan-ubsan # just the sanitizer build
-#   scripts/check.sh tsan       # ThreadSanitizer (tuner pool + obs registry)
+#   scripts/check.sh tsan       # ThreadSanitizer (tuner pool, obs registry,
+#                               # the controller's helper thread)
 #
 # Each preset also runs `smdcheck --all` (the static verifier over every
 # built-in kernel, stream program and blocking scheme — see DESIGN.md
@@ -75,6 +76,15 @@ for preset in "${presets[@]}"; do
     echo "==== optimizer equivalence sweep (${preset}) ===="
     ctest --preset "${preset}" -R opt_equivalence_test --output-on-failure
   fi
+  if [ "${preset}" = tsan ]; then
+    # Every run applies its data effects on a helper thread of its own
+    # (DESIGN.md section 10): the lockstep engine pairs two such runs and
+    # controller_test drives the hand-off's error paths. Re-run both
+    # standalone so a data race on the hand-off is named in the log.
+    echo "==== controller helper thread under tsan ===="
+    ctest --preset "${preset}" -R '^(lockstep_test|controller_test)$' \
+      --output-on-failure
+  fi
   # Kernel-backend equivalence gate (DESIGN.md section 17): the compiled
   # threaded-code VM must stay bit-identical to the reference interpreter
   # -- output words by bit pattern and every to_json(InterpStats) field
@@ -85,21 +95,23 @@ for preset in "${presets[@]}"; do
   echo "==== kernel VM equivalence sweep (${preset}) ===="
   ctest --preset "${preset}" -R vm_equivalence_test --output-on-failure
   # Flag contract (bench/bench_io.h check_flags): every bench and example
-  # binary rejects a flag it does not read with exit 2, before any work.
-  # bench_native_kernels hands its flags to google-benchmark, so it only
-  # has to fail.
-  echo "==== unknown flags exit 2 (${preset}) ===="
+  # binary rejects a flag it does not read, and a stray positional, with
+  # exit 2, before any work. bench_native_kernels hands its arguments to
+  # google-benchmark, so it only has to fail.
+  echo "==== unknown flags and stray arguments exit 2 (${preset}) ===="
   for exe in "${build_dir[${preset}]}"/bench/* "${build_dir[${preset}]}"/examples/*; do
     [ -f "${exe}" ] && [ -x "${exe}" ] || continue
     name=$(basename "${exe}")
-    status=0
-    "${exe}" --frobnicate > /dev/null 2>&1 || status=$?
-    if [ "${name}" = bench_native_kernels ]; then
-      [ "${status}" -ne 0 ] || { echo "${name} accepted --frobnicate"; exit 1; }
-    elif [ "${status}" -ne 2 ]; then
-      echo "${name} --frobnicate exited ${status}, want 2"
-      exit 1
-    fi
+    for arg in --frobnicate stray; do
+      status=0
+      "${exe}" "${arg}" > /dev/null 2>&1 || status=$?
+      if [ "${name}" = bench_native_kernels ]; then
+        [ "${status}" -ne 0 ] || { echo "${name} accepted ${arg}"; exit 1; }
+      elif [ "${status}" -ne 2 ]; then
+        echo "${name} ${arg} exited ${status}, want 2"
+        exit 1
+      fi
+    done
   done
   echo "==== smdcheck --all (${preset}) ===="
   "${build_dir[${preset}]}/examples/smdcheck" --all

@@ -128,41 +128,45 @@ MemSystem::MemSystem(const MemSystemConfig& cfg, GlobalMemory* mem)
 
 MemSystem::OpId MemSystem::issue(MemOpDesc desc, std::vector<double>* load_dst,
                                  const std::vector<double>* store_src) {
-  const std::int64_t total = desc.total_words();
-  const OpId id = static_cast<OpId>(ops_.size());
+  transfer(desc, *mem_, load_dst, store_src);
+  return enqueue(std::move(desc));
+}
 
-  // Functional transfer, exact and immediate. Timing completes later; the
-  // stream controller's scoreboard keeps consumers from running early.
+void MemSystem::transfer(const MemOpDesc& desc, GlobalMemory& mem,
+                         std::vector<double>* load_dst,
+                         const std::vector<double>* store_src) {
+  const std::int64_t total = desc.total_words();
+  AddressGenerator walk;
+  walk.start(&desc);
   if (is_load(desc.kind)) {
     if (load_dst == nullptr) throw std::runtime_error("load without destination");
     load_dst->clear();
     load_dst->reserve(static_cast<std::size_t>(total));
-    AddressGenerator walk;
-    walk.start(&desc);
     while (!walk.done()) {
-      load_dst->push_back(mem_->read(walk.peek()));
+      load_dst->push_back(mem.read(walk.peek()));
       walk.advance();
     }
-    stats_.words_loaded += total;
-  } else {
-    if (store_src == nullptr) throw std::runtime_error("store without source");
-    if (static_cast<std::int64_t>(store_src->size()) < total) {
-      throw std::runtime_error("store source shorter than op");
-    }
-    AddressGenerator walk;
-    walk.start(&desc);
-    std::int64_t i = 0;
-    while (!walk.done()) {
-      const double v = (*store_src)[static_cast<std::size_t>(i++)];
-      if (desc.kind == MemOpKind::kScatterAdd) {
-        mem_->add(walk.peek(), v);
-      } else {
-        mem_->write(walk.peek(), v);
-      }
-      walk.advance();
-    }
-    stats_.words_stored += total;
+    return;
   }
+  if (store_src == nullptr) throw std::runtime_error("store without source");
+  if (static_cast<std::int64_t>(store_src->size()) < total) {
+    throw std::runtime_error("store source shorter than op");
+  }
+  std::size_t i = 0;
+  while (!walk.done()) {
+    const double v = (*store_src)[i++];
+    if (desc.kind == MemOpKind::kScatterAdd) {
+      mem.add(walk.peek(), v);
+    } else {
+      mem.write(walk.peek(), v);
+    }
+    walk.advance();
+  }
+}
+
+MemSystem::OpId MemSystem::enqueue(MemOpDesc desc) {
+  const std::int64_t total = desc.total_words();
+  const OpId id = static_cast<OpId>(ops_.size());
 
   Op op;
   op.desc = std::move(desc);
@@ -184,8 +188,10 @@ MemSystem::OpId MemSystem::issue(MemOpDesc desc, std::vector<double>* load_dst,
   auto& reg = obs::CounterRegistry::global();
   reg.add("mem.ops_issued");
   if (is_load(kind)) {
+    stats_.words_loaded += total;
     reg.add("mem.words_loaded", total);
   } else {
+    stats_.words_stored += total;
     reg.add("mem.words_stored", total);
     if (kind == MemOpKind::kScatterAdd) reg.add("mem.scatter_add_words", total);
   }

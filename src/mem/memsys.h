@@ -10,7 +10,9 @@
 // Functional data movement is exact: loads copy from GlobalMemory into the
 // destination buffer, stores copy back, and scatter-add performs real
 // floating-point accumulation -- so simulated kernels produce real forces.
-// Timing is modeled per word through the pipeline above.
+// Timing is modeled per word through the pipeline above. The two halves
+// are separate calls (transfer, enqueue): timing never reads the data, so
+// the stream controller applies the transfers on a helper thread.
 #pragma once
 
 #include <cstdint>
@@ -82,13 +84,25 @@ class MemSystem {
 
   MemSystem(const MemSystemConfig& cfg, GlobalMemory* mem);
 
-  /// Issue a stream memory operation.
-  ///  * loads: the destination buffer is resized and filled functionally;
-  ///  * stores/scatter-add: `store_src` must hold total_words() values.
-  /// Issue order must respect data dependences (the stream controller's
-  /// scoreboard guarantees this).
+  /// Issue a stream memory operation: transfer() its data now, then
+  /// enqueue() its timing. Calls must come in an order that respects data
+  /// dependences.
   OpId issue(MemOpDesc desc, std::vector<double>* load_dst,
              const std::vector<double>* store_src);
+
+  /// The functional half of issue, exact and immediate:
+  ///  * loads: `load_dst` is resized and filled from `mem`;
+  ///  * stores/scatter-add: `store_src` must hold total_words() values,
+  ///    which are written to (or added into) `mem`.
+  /// Throws std::runtime_error on a missing buffer or a short source.
+  static void transfer(const MemOpDesc& desc, GlobalMemory& mem,
+                       std::vector<double>* load_dst,
+                       const std::vector<double>* store_src);
+
+  /// The timing half of issue: queues the op's address walk through the
+  /// pipeline and counts its words. No data moves, so the stream
+  /// controller can apply transfer() elsewhere, in issue order.
+  OpId enqueue(MemOpDesc desc);
 
   /// Advance one cycle.
   void tick();

@@ -1,19 +1,17 @@
 #include "src/sim/controller.h"
 
 #include <algorithm>
-#include <map>
-#include <span>
 #include <stdexcept>
 #include <string>
 
 #include "src/analysis/check_stream.h"
 #include "src/obs/registry.h"
+#include "src/sim/datapath.h"
 
 namespace smd::sim {
 namespace {
 
 struct StreamState {
-  std::vector<double> buffer;
   std::int64_t declared_words = 0;
   int producer = -1;               // instr id, -1 = pre-initialized (none)
   std::vector<int> consumers;      // instr ids reading this stream
@@ -59,7 +57,9 @@ constexpr std::uint64_t kNoEvent = ~0ULL;
 /// and one MemSystem::tick per cycle); run_event() keeps a ready list
 /// keyed on dependency retirement and advances `now_` in jumps to the
 /// next interesting time. Both must produce bit-identical RunStats --
-/// SimEngine::kLockstep and the lockstep ctest enforce it.
+/// SimEngine::kLockstep and the lockstep ctest enforce it. Both only
+/// model time: each issue hands the instruction to `data_`, whose helper
+/// thread applies its data effects in issue order.
 class RunContext {
  public:
   RunContext(const MachineConfig& cfg, mem::GlobalMemory* memory,
@@ -67,6 +67,7 @@ class RunContext {
       : cfg_(cfg),
         program_(program),
         memsys_(cfg.mem, memory),
+        data_(cfg, memory, program),
         srf_(cfg.srf_words),
         costs_(cfg.sched),
         n_(static_cast<int>(program.instrs.size())),
@@ -83,10 +84,24 @@ class RunContext {
     advance_next_alloc();
   }
 
-  RunStats run_stepped();
-  RunStats run_event();
+  /// Run one engine to completion. A functional error wins over a timing
+  /// failure (deadlock, unschedulable kernel) raised after its issue, as
+  /// if every data effect happened at issue.
+  RunStats run(bool event) {
+    try {
+      event ? run_event() : run_stepped();
+    } catch (...) {
+      data_.finish();
+      throw;
+    }
+    stats_.interp = data_.finish();
+    return finalize();
+  }
 
  private:
+  void run_stepped();
+  void run_event();
+
   // ---- Dependence graph (stream reads/writes). ---------------------------
   void build_dependence_graph() {
     for (int i = 0; i < n_; ++i) {
@@ -286,25 +301,13 @@ class RunContext {
   }
 
   // ---- Issue. ------------------------------------------------------------
+  // The data effects are handed over first, so an instruction whose data
+  // fails reports that failure even if its timing fails too.
   void start_kernel(int i) {
     const auto& k =
         std::get<KernelOp>(program_.instrs[static_cast<std::size_t>(i)]);
     auto& is = st_[static_cast<std::size_t>(i)];
-
-    // Functional execution, exact; results land in the SRF buffers now.
-    kernel::StreamBindings bindings;
-    bindings.inputs.resize(k.def->streams.size());
-    bindings.outputs.resize(k.def->streams.size());
-    for (std::size_t s = 0; s < k.bindings.size(); ++s) {
-      auto& buf = streams_[static_cast<std::size_t>(k.bindings[s])].buffer;
-      if (k.def->streams[s].dir == kernel::StreamDir::kIn) {
-        bindings.inputs[s] = std::span<const double>(buf);
-        bindings.outputs[s] = nullptr;
-      } else {
-        bindings.outputs[s] = &buf;
-      }
-    }
-    stats_.interp += executor_for(*k.def).run(bindings, k.rounds);
+    data_.issue(i);
 
     const KernelCost& cost = costs_.get(*k.def);
     const std::uint64_t cycles =
@@ -322,6 +325,7 @@ class RunContext {
   void start_memop(int i) {
     auto& is = st_[static_cast<std::size_t>(i)];
     const auto& instr = program_.instrs[static_cast<std::size_t>(i)];
+    data_.issue(i);
     is.sdr_slot = acquire_sdr();
     is.holds_sdr = true;
     is.start = now_;
@@ -330,16 +334,12 @@ class RunContext {
     if (const auto* load = std::get_if<LoadOp>(&instr)) {
       is.label = std::string(mem::mem_op_verb(load->desc.kind)) + " s" +
                  std::to_string(load->dst);
-      is.mem_id = memsys_.issue(
-          load->desc, &streams_[static_cast<std::size_t>(load->dst)].buffer,
-          nullptr);
+      is.mem_id = memsys_.enqueue(load->desc);
     } else {
       const auto& store = std::get<StoreOp>(instr);
       is.label = std::string(mem::mem_op_verb(store.desc.kind)) + " s" +
                  std::to_string(store.src);
-      is.mem_id = memsys_.issue(
-          store.desc, nullptr,
-          &streams_[static_cast<std::size_t>(store.src)].buffer);
+      is.mem_id = memsys_.enqueue(store.desc);
     }
     if (event_mode_) {
       running_memops_.insert(
@@ -404,27 +404,12 @@ class RunContext {
     return std::move(stats_);
   }
 
-  /// One executor per distinct KernelDef, constructed (verified + lowered)
-  /// on first launch and reused for every strip after -- the same caching
-  /// idiom as KernelCostCache. Keyed by pointer: defs outlive the run.
-  kernel::KernelExec& executor_for(const kernel::KernelDef& def) {
-    auto it = executors_.find(&def);
-    if (it == executors_.end()) {
-      it = executors_
-               .emplace(std::piecewise_construct, std::forward_as_tuple(&def),
-                        std::forward_as_tuple(def, cfg_.n_clusters,
-                                              cfg_.kernel_backend))
-               .first;
-    }
-    return it->second;
-  }
-
   const MachineConfig& cfg_;
   const StreamProgram& program_;
   mem::MemSystem memsys_;
+  DataPath data_;
   SrfAllocator srf_;
   KernelCostCache costs_;
-  std::map<const kernel::KernelDef*, kernel::KernelExec> executors_;
   RunStats stats_;
 
   const int n_;
@@ -452,7 +437,7 @@ class RunContext {
 };
 
 // ---- Cycle-stepped reference engine. --------------------------------------
-RunStats RunContext::run_stepped() {
+void RunContext::run_stepped() {
   remaining_ = n_;
   while (remaining_ > 0) {
     // Issue everything that is ready this cycle.
@@ -484,7 +469,6 @@ RunStats RunContext::run_stepped() {
 
     if (now_ - last_progress_ > kDeadlockCycles) throw_deadlock();
   }
-  return finalize();
 }
 
 // ---- Event-driven engine. -------------------------------------------------
@@ -500,7 +484,7 @@ RunStats RunContext::run_stepped() {
 // is handed to MemSystem::tick_until, which runs through busy stretches on
 // its own and returns early at the first completion; op_done cannot flip
 // before the finish time it then reports.
-RunStats RunContext::run_event() {
+void RunContext::run_event() {
   remaining_ = n_;
   event_mode_ = true;
   succ_.assign(static_cast<std::size_t>(n_), {});
@@ -582,7 +566,6 @@ RunStats RunContext::run_event() {
       update_stall_run(starved);
     }
   }
-  return finalize();
 }
 
 void record_run_counters(const RunStats& stats, std::int64_t srf_peak) {
@@ -683,12 +666,12 @@ RunStats Controller::run(const StreamProgram& program) {
   switch (cfg_.engine) {
     case SimEngine::kStepped: {
       RunContext ctx(cfg_, memory_, program);
-      stats = ctx.run_stepped();
+      stats = ctx.run(false);
       break;
     }
     case SimEngine::kEvent: {
       RunContext ctx(cfg_, memory_, program);
-      stats = ctx.run_event();
+      stats = ctx.run(true);
       break;
     }
     case SimEngine::kLockstep: {
@@ -702,10 +685,10 @@ RunStats Controller::run(const StreamProgram& program) {
         obs::CounterRegistry scratch;
         obs::ScopedRegistryRedirect redirect(scratch);
         RunContext ref(cfg_, &shadow, program);
-        stepped = ref.run_stepped();
+        stepped = ref.run(false);
       }
       RunContext ctx(cfg_, memory_, program);
-      stats = ctx.run_event();
+      stats = ctx.run(true);
       std::string diff = diff_run_stats(stepped, stats);
       if (diff.empty()) diff = mem::diff_memory(shadow, *memory_);
       if (!diff.empty()) {

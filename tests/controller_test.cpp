@@ -1,9 +1,16 @@
 // Stream-controller scoreboard semantics: ordering (RAW/WAR/WAW through
 // streams), stream lifetime/SRF accounting, multi-consumer streams, and
-// failure modes.
+// failure modes -- including the split between the timing stage and the
+// helper thread that applies each run's data effects.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <typeinfo>
+
+#include "src/core/run.h"
 #include "src/kernel/ir.h"
+#include "src/kernel/schedule.h"
+#include "src/obs/registry.h"
 #include "src/sim/machine.h"
 
 namespace smd::sim {
@@ -271,6 +278,195 @@ TEST(Controller, TimelineOccupancyConsistentWithRunStats) {
             stats.cycles);
   EXPECT_EQ(stats.timeline.overlap_cycles(stats.cycles),
             stats.overlap_cycles);
+}
+
+// ---- Failures and the helper thread. --------------------------------------
+// Each run's data effects (load copies, kernel runs, store writes) are
+// applied on a helper thread in issue order, so a data error surfaces
+// there. Controller::run must throw what a one-thread run throws at
+// issue: the same exception type and message.
+
+/// The exception a run threw: its dynamic type and message.
+struct Thrown {
+  std::string type;  ///< typeid name; "" if the run returned
+  std::string what;
+};
+
+Thrown run_catching(Machine& machine, const StreamProgram& prog) {
+  try {
+    machine.run(prog);
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {};
+}
+
+constexpr SimEngine kEngines[] = {SimEngine::kStepped, SimEngine::kEvent,
+                                  SimEngine::kLockstep};
+
+/// y = rsqrt(x^32): its FPU slots need II >= 2, so max_ii = 1 leaves it
+/// unschedulable -- a failure of the timing stage alone.
+kernel::KernelDef make_heavy() {
+  kernel::KernelBuilder kb("heavy");
+  const int in = kb.stream_in("x", 1);
+  const int out = kb.stream_out("y", 1);
+  const auto x = kb.read(in, 1);
+  Reg v = x[0];
+  for (int i = 0; i < 5; ++i) v = kb.mul(v, v);
+  kb.write(out, kb.rsqrt(v), 1);
+  return kb.build();
+}
+
+TEST(ControllerErrors, KernelInputRunningDryThrowsUnderEveryEngine) {
+  const auto k2 = make_scale(2.0, "x2");
+  for (const SimEngine engine : kEngines) {
+    MachineConfig cfg = fast_config();
+    cfg.engine = engine;
+    Machine machine(cfg);
+    const int n = 64;
+    auto& mem = machine.memory();
+    const auto in = mem.alloc(n), out = mem.alloc(n);
+    StreamProgram prog;
+    const StreamId s_in = prog.new_stream(n);
+    const StreamId s_out = prog.new_stream(n);
+    // Half the words the kernel reads: the declared capacity passes the
+    // static check, the data runs out.
+    prog.load(strided(in, n / 2), s_in);
+    prog.kernel(&k2, {s_in, s_out}, n / 16);
+    prog.store(strided_store(out, n), s_out);
+    const Thrown t = run_catching(machine, prog);
+    EXPECT_EQ(t.type, typeid(std::runtime_error).name())
+        << engine_name(engine);
+    EXPECT_EQ(t.what, "x2: input stream 'x' exhausted") << engine_name(engine);
+  }
+}
+
+TEST(ControllerErrors, StoreFromShortSourceThrowsUnderEveryEngine) {
+  for (const SimEngine engine : kEngines) {
+    MachineConfig cfg = fast_config();
+    cfg.engine = engine;
+    Machine machine(cfg);
+    const int n = 64;
+    auto& mem = machine.memory();
+    const auto in = mem.alloc(n), out = mem.alloc(n);
+    StreamProgram prog;
+    const StreamId s = prog.new_stream(n);
+    prog.load(strided(in, n / 2), s);
+    prog.store(strided_store(out, n), s);
+    const Thrown t = run_catching(machine, prog);
+    EXPECT_EQ(t.type, typeid(std::runtime_error).name())
+        << engine_name(engine);
+    EXPECT_EQ(t.what, "store source shorter than op") << engine_name(engine);
+  }
+}
+
+TEST(ControllerErrors, FirstIssuedFailureWinsAcrossStages) {
+  const auto k2 = make_scale(2.0, "x2");
+  const auto heavy = make_heavy();
+  const int n = 64;
+  for (const SimEngine engine : kEngines) {
+    MachineConfig cfg = fast_config();
+    cfg.engine = engine;
+    cfg.sched.max_ii = 1;
+
+    // A data error issued first (x2 runs dry) wins over the timing failure
+    // of the kernel that consumes its output, even if the timing stage
+    // reaches that failure before the helper reaches the data error.
+    {
+      Machine machine(cfg);
+      auto& mem = machine.memory();
+      const auto in = mem.alloc(n), out = mem.alloc(n);
+      StreamProgram prog;
+      const StreamId a = prog.new_stream(n);
+      const StreamId b = prog.new_stream(n);
+      const StreamId c = prog.new_stream(n);
+      prog.load(strided(in, n / 2), a);
+      prog.kernel(&k2, {a, b}, n / 16);
+      prog.kernel(&heavy, {b, c}, n / 16);
+      prog.store(strided_store(out, n), c);
+      const Thrown t = run_catching(machine, prog);
+      EXPECT_EQ(t.type, typeid(std::runtime_error).name())
+          << engine_name(engine);
+      EXPECT_EQ(t.what, "x2: input stream 'x' exhausted")
+          << engine_name(engine);
+    }
+    // A timing failure issued first wins over a data error after it.
+    {
+      Machine machine(cfg);
+      auto& mem = machine.memory();
+      const auto in = mem.alloc(n), out = mem.alloc(n);
+      StreamProgram prog;
+      const StreamId a = prog.new_stream(n);
+      const StreamId b = prog.new_stream(2 * n);
+      const StreamId c = prog.new_stream(2 * n);
+      prog.load(strided(in, n), a);
+      prog.kernel(&heavy, {a, b}, n / 16);
+      prog.kernel(&k2, {b, c}, 2 * n / 16);  // reads 2n of heavy's n words
+      prog.store(strided_store(out, n), c);
+      const Thrown t = run_catching(machine, prog);
+      EXPECT_EQ(t.type, typeid(kernel::ScheduleError).name())
+          << engine_name(engine);
+      EXPECT_EQ(t.what.rfind("heavy: no schedule found up to II=1", 0), 0u)
+          << engine_name(engine) << ": " << t.what;
+    }
+  }
+}
+
+// ---- Stream-buffer lifetimes. ----------------------------------------------
+
+TEST(ControllerBuffers, LiveFromProducerToLastReaderAndUnreadLoadsSkipped) {
+  // An index-style load nobody reads (4n words) issues at cycle 0 next to
+  // the strip's real load. The helper skips it and frees each buffer after
+  // its last reader, so the peak is the kernel's input plus its output.
+  const auto k2 = make_scale(2.0, "x2");
+  for (const SimEngine engine : kEngines) {
+    MachineConfig cfg = fast_config();
+    cfg.engine = engine;
+    Machine machine(cfg);
+    auto& mem = machine.memory();
+    const int n = 256;
+    const auto idx = mem.alloc(4 * n), in = mem.alloc(n), out = mem.alloc(n);
+    for (int i = 0; i < n; ++i) {
+      mem.write(in + static_cast<std::uint64_t>(i), i);
+    }
+    StreamProgram prog;
+    const StreamId s_idx = prog.new_stream(4 * n);
+    const StreamId s_in = prog.new_stream(n);
+    const StreamId s_out = prog.new_stream(n);
+    prog.load(strided(idx, 4 * n), s_idx);
+    prog.load(strided(in, n), s_in);
+    prog.kernel(&k2, {s_in, s_out}, n / 16);
+    prog.store(strided_store(out, n), s_out);
+
+    obs::CounterRegistry reg;
+    const obs::ScopedRegistryRedirect redirect(reg);
+    const RunStats stats = machine.run(prog);
+    EXPECT_EQ(reg.gauge("sim.stream_buffer_peak_words"), 2.0 * n)
+        << engine_name(engine);
+    EXPECT_GE(stats.srf_peak_words, 2 * n) << engine_name(engine);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(mem.read(out + static_cast<std::uint64_t>(i)), 2.0 * i);
+    }
+  }
+}
+
+TEST(ControllerBuffers, StreamMdLiveDataStaysWithinTheSrfPeak) {
+  // The helper's live stream words never exceed what the modelled SRF
+  // held at its peak, on every variant at two sizes.
+  for (const int molecules : {256, 1800}) {
+    core::ExperimentSetup setup;
+    setup.n_molecules = molecules;
+    const core::Problem problem = core::Problem::make(setup);
+    for (const core::Variant v : core::kAllVariants) {
+      obs::CounterRegistry reg;
+      const obs::ScopedRegistryRedirect redirect(reg);
+      const core::VariantResult r = core::run_variant(problem, v);
+      const double peak = reg.gauge("sim.stream_buffer_peak_words");
+      EXPECT_GT(peak, 0.0) << molecules << " " << core::variant_name(v);
+      EXPECT_LE(peak, static_cast<double>(r.run.srf_peak_words))
+          << molecules << " " << core::variant_name(v);
+    }
+  }
 }
 
 }  // namespace
