@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/core/blocking.h"
+#include "src/core/report.h"
 #include "src/core/run.h"
 #include "src/obs/registry.h"
 #include "src/tune/cache.h"
@@ -483,6 +484,14 @@ TEST(Space, MachineOverridesMaterializeAndValidate) {
   bad.n_clusters = 0;
   EXPECT_GT(bad.machine().validate().errors(), 0u);
   EXPECT_THROW(evaluate(problem_with(64), bad), analysis::CheckFailure);
+}
+
+// Candidate's machine axes default to Table 1 values of their own, because
+// they are part of the cache-key format; this keeps them equal to the one
+// Merrimac of sim::MachineConfig.
+TEST(Space, DefaultCandidateRunsOnTheMerrimacMachine) {
+  EXPECT_EQ(core::to_json(Candidate{}.machine()).dump(),
+            core::to_json(sim::MachineConfig::merrimac()).dump());
 }
 
 TEST(Runner, AnalyticEstimateAndPruning) {
