@@ -11,6 +11,7 @@
 #include "bench/bench_io.h"
 #include "src/core/kernels.h"
 #include "src/md/water.h"
+#include "src/sim/config.h"
 #include "src/util/table.h"
 
 using namespace smd;
@@ -23,11 +24,13 @@ int main(int argc, char** argv) {
   obs::Json rows = obs::Json::array();
   util::Table t({"model", "sites", "site pairs", "flops/pair", "div+sqrt",
                  "words/pair", "AI", "cycles/pair", "proj. GFLOPS", "bound"});
+  const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
   for (const auto* m : md::table5_models()) {
     if (m->sites.empty()) continue;
-    const core::MultisiteProfile p = core::profile_multisite_kernel(*m);
-    const double compute_gflops =
-        static_cast<double>(p.census.flops) * 16 / p.cycles_per_interaction;
+    const core::MultisiteProfile p = core::profile_multisite_kernel(*m, cfg);
+    const double compute_gflops = static_cast<double>(p.census.flops) *
+                                  cfg.n_clusters / p.cycles_per_interaction *
+                                  cfg.clock_ghz;
     const bool mem_bound = p.projected_gflops < compute_gflops - 1e-9;
     obs::Json j = obs::Json::object();
     j.set("model", m->name)

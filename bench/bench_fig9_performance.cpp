@@ -23,7 +23,7 @@ double optimal_solution_gflops(const core::Problem& problem,
       core::Variant::kExpanded, problem.system.model());
   std::int64_t slots = 0;
   for (const auto& in : def.body) slots += kernel::op_cost(in.op).fpu_slots;
-  const double chip_slots_per_cycle = cfg.n_clusters * cfg.fpus_per_cluster;
+  const double chip_slots_per_cycle = cfg.n_clusters * cfg.sched.n_fpus;
   const double interactions_per_second =
       chip_slots_per_cycle / static_cast<double>(slots) * cfg.clock_ghz * 1e9;
   return interactions_per_second * problem.flops_per_interaction / 1e9;

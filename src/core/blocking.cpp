@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/core/kernels.h"
+#include "src/kernel/schedule.h"
 
 namespace smd::core {
 
@@ -70,9 +71,10 @@ BlockingPoint BlockingModel::minimum(double lo, double hi, int n) const {
 
 BlockedImplProfile profile_blocked_implementation(
     const md::WaterSystem& sys, const md::NeighborList& half_list,
-    double cutoff, int cells_per_dim, const kernel::ScheduleOptions& sched,
-    int n_clusters, double mem_words_per_cycle) {
+    double cutoff, int cells_per_dim, const sim::MachineConfig& cfg,
+    double mem_words_per_cycle) {
   if (cells_per_dim < 1) throw std::runtime_error("cells_per_dim < 1");
+  const int n_clusters = cfg.n_clusters;
   BlockedImplProfile p;
   p.cells_per_dim = cells_per_dim;
   const double edge = sys.box().length.x;
@@ -136,7 +138,7 @@ BlockedImplProfile profile_blocked_implementation(
   const kernel::KernelDef def = build_blocked_kernel(
       sys.model(), cutoff, static_cast<int>(std::min<std::int64_t>(
                                slots_per_group, 1 << 20)));
-  const kernel::Schedule schedule = kernel::schedule_body(def, sched);
+  const kernel::Schedule schedule = kernel::schedule_body(def, cfg.sched);
   p.cycles_per_computed_pair = schedule.cycles_per_iteration();
   p.est_kernel_cycles = static_cast<double>(p.computed_pairs) / n_clusters *
                         p.cycles_per_computed_pair;
@@ -205,16 +207,15 @@ AnalyticEstimate estimate_variant_run(const md::WaterSystem& sys,
                                       const md::NeighborList& half_list,
                                       Variant variant,
                                       const LayoutOptions& lopts,
-                                      const kernel::ScheduleOptions& sched,
-                                      double mem_words_per_cycle,
-                                      int kernel_startup_cycles) {
+                                      const sim::MachineConfig& cfg) {
+  const double mem_words_per_cycle = cfg.dram_words_per_cycle();
   if (mem_words_per_cycle <= 0.0) {
-    throw std::runtime_error("mem_words_per_cycle must be positive");
+    throw std::runtime_error("DRAM words per cycle must be positive");
   }
   const VariantLayout layout = build_layout(variant, sys, half_list, lopts);
   const kernel::KernelDef def =
       build_water_kernel(variant, sys.model(), lopts.fixed_list_length);
-  const kernel::Schedule schedule = kernel::schedule_body(def, sched);
+  const kernel::Schedule schedule = kernel::schedule_body(def, cfg.sched);
 
   AnalyticEstimate e;
   e.kernel_cycles = schedule.cycles_per_iteration() *
@@ -222,7 +223,7 @@ AnalyticEstimate estimate_variant_run(const md::WaterSystem& sys,
                     static_cast<double>(def.block_len);
   e.mem_words = static_cast<double>(layout.memory_words());
   e.memory_cycles = e.mem_words / mem_words_per_cycle;
-  e.time_cycles = static_cast<double>(kernel_startup_cycles) *
+  e.time_cycles = static_cast<double>(cfg.kernel_startup_cycles) *
                       static_cast<double>(layout.strips.size()) +
                   std::max(e.kernel_cycles, e.memory_cycles);
   return e;

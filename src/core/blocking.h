@@ -21,9 +21,9 @@
 
 #include "src/analysis/check_stream.h"
 #include "src/core/layouts.h"
-#include "src/kernel/schedule.h"
 #include "src/md/neighborlist.h"
 #include "src/md/system.h"
+#include "src/sim/config.h"
 
 namespace smd::core {
 
@@ -98,11 +98,12 @@ struct BlockedImplProfile {
 };
 
 /// Characterize a blocked implementation of the given system at a cell
-/// granularity of `cells_per_dim` per box edge.
+/// granularity of `cells_per_dim` per box edge on `cfg`. The sustained
+/// `mem_words_per_cycle` is a modelling assumption, not a machine fact.
 BlockedImplProfile profile_blocked_implementation(
     const md::WaterSystem& sys, const md::NeighborList& half_list,
     double cutoff, int cells_per_dim,
-    const kernel::ScheduleOptions& sched = {.unroll = 2}, int n_clusters = 16,
+    const sim::MachineConfig& cfg = sim::MachineConfig::merrimac(),
     double mem_words_per_cycle = 4.0);
 
 /// The blocking scheme's interaction *assignment*: which central-force row
@@ -136,7 +137,7 @@ struct BlockingScheme {
 /// packed into groups of `n_clusters` lanes, padding the last group with
 /// trash-row lanes.
 BlockingScheme build_blocking_scheme(const md::WaterSystem& sys,
-                                     int cells_per_dim, int n_clusters = 16);
+                                     int cells_per_dim, int n_clusters);
 
 /// Cell granularities smdcheck lints by default (the Figure 11/12 sweep's
 /// implementable range for small boxes).
@@ -157,17 +158,15 @@ struct AnalyticEstimate {
   double mem_words = 0.0;      ///< words moved SRF <-> memory
 };
 
-/// Estimate one variant run without simulating it: builds the layout,
-/// schedules the kernel (memoized machinery in sim::KernelCostCache is
-/// not needed -- scheduling here is per-call but cheap), and assumes
-/// perfectly overlapped transfers at `mem_words_per_cycle`.
+/// Estimate one variant run on `cfg` without simulating it: builds the
+/// layout, schedules the kernel with cfg.sched (per call, but cheap),
+/// charges cfg.kernel_startup_cycles per strip, and assumes perfectly
+/// overlapped transfers at cfg's peak DRAM bandwidth.
 AnalyticEstimate estimate_variant_run(const md::WaterSystem& sys,
                                       const md::NeighborList& half_list,
                                       Variant variant,
                                       const LayoutOptions& lopts,
-                                      const kernel::ScheduleOptions& sched,
-                                      double mem_words_per_cycle,
-                                      int kernel_startup_cycles = 100);
+                                      const sim::MachineConfig& cfg);
 
 /// keep[i] is false iff some estimate j dominates i: time_cycles and
 /// mem_words both at least `slack` (> 1) times better. With slack <= 1

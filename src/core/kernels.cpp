@@ -4,6 +4,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "src/kernel/schedule.h"
 #include "src/md/constants.h"
 
 namespace smd::core {
@@ -592,10 +593,8 @@ kernel::KernelDef build_blocked_kernel(const md::WaterModel& model,
 }
 
 MultisiteProfile profile_multisite_kernel(const md::WaterModel& model,
-                                          const kernel::ScheduleOptions& sched,
-                                          int n_clusters,
-                                          double mem_words_per_cycle,
-                                          double clock_ghz) {
+                                          const sim::MachineConfig& cfg,
+                                          double mem_words_per_cycle) {
   MultisiteProfile p;
   p.sites = static_cast<int>(model.sites.size());
   const kernel::KernelDef def = build_multisite_kernel(model);
@@ -615,14 +614,14 @@ MultisiteProfile profile_multisite_kernel(const md::WaterModel& model,
   p.arithmetic_intensity =
       static_cast<double>(p.census.flops) / p.words_per_interaction;
 
-  const kernel::Schedule schedule = kernel::schedule_body(def, sched);
+  const kernel::Schedule schedule = kernel::schedule_body(def, cfg.sched);
   p.cycles_per_interaction = schedule.cycles_per_iteration();
 
   const double compute_gflops = static_cast<double>(p.census.flops) *
-                                n_clusters / p.cycles_per_interaction *
-                                clock_ghz;
+                                cfg.n_clusters / p.cycles_per_interaction *
+                                cfg.clock_ghz;
   const double bandwidth_gflops =
-      p.arithmetic_intensity * mem_words_per_cycle * clock_ghz;
+      p.arithmetic_intensity * mem_words_per_cycle * cfg.clock_ghz;
   p.projected_gflops = std::min(compute_gflops, bandwidth_gflops);
   return p;
 }

@@ -20,8 +20,8 @@
 
 #include "src/core/streammd.h"
 #include "src/kernel/ir.h"
-#include "src/kernel/schedule.h"
 #include "src/md/water.h"
+#include "src/sim/config.h"
 
 namespace smd::core {
 
@@ -82,11 +82,12 @@ struct MultisiteProfile {
   double projected_gflops = 0;
 };
 
+/// Projects over `cfg`'s clusters and clock; the sustained
+/// `mem_words_per_cycle` is a modelling assumption, not a machine fact.
 MultisiteProfile profile_multisite_kernel(
     const md::WaterModel& model,
-    const kernel::ScheduleOptions& sched = {.unroll = 2},
-    int n_clusters = 16, double mem_words_per_cycle = 4.0,
-    double clock_ghz = 1.0);
+    const sim::MachineConfig& cfg = sim::MachineConfig::merrimac(),
+    double mem_words_per_cycle = 4.0);
 
 // ---------------------------------------------------------------------------
 // Section 5.4 extension: the blocking scheme as an implementable kernel.

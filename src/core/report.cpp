@@ -15,7 +15,7 @@ std::string format_machine_table(const sim::MachineConfig& cfg) {
   const auto& m = cfg.mem;
   t.add_row({"Number of stream cache banks", std::to_string(m.cache.n_banks)});
   t.add_row({"Number of scatter-add units per bank",
-             std::to_string(m.scatter_add.units_per_bank)});
+             std::to_string(mem::kScatterAddUnitsPerBank)});
   t.add_row({"Latency of scatter-add functional unit",
              std::to_string(m.scatter_add.latency)});
   t.add_row({"Number of combining store entries",
@@ -25,18 +25,16 @@ std::string format_machine_table(const sim::MachineConfig& cfg) {
              std::to_string(m.n_address_generators)});
   t.add_row({"Operating frequency", Table::num(cfg.clock_ghz, 1) + " GHz"});
   t.add_row({"Peak DRAM bandwidth",
-             Table::num(m.dram.n_channels * m.dram.channel_words_per_cycle * 8.0 *
-                            cfg.clock_ghz,
-                        1) +
+             Table::num(cfg.dram_words_per_cycle() * 8.0 * cfg.clock_ghz, 1) +
                  " GB/s"});
   t.add_row({"Stream cache bandwidth",
              Table::num(m.cache.n_banks * 8.0 * cfg.clock_ghz, 0) + " GB/s"});
   t.add_row({"Number of clusters", std::to_string(cfg.n_clusters)});
   t.add_row({"Peak floating point operations per cycle",
-             std::to_string(cfg.n_clusters * cfg.fpus_per_cluster * 2)});
+             std::to_string(cfg.n_clusters * cfg.sched.n_fpus * 2)});
   t.add_row({"SRF bandwidth",
-             Table::num(cfg.n_clusters * cfg.srf_words_per_cycle_per_cluster *
-                            8.0 * cfg.clock_ghz,
+             Table::num(cfg.n_clusters * cfg.sched.srf_words_per_cycle * 8.0 *
+                            cfg.clock_ghz,
                         0) +
                  " GB/s"});
   t.add_row({"SRF size", Table::num(static_cast<double>(cfg.srf_words) * 8 / (1 << 20), 0) + " MB"});
@@ -147,7 +145,6 @@ obs::Json to_json(const sim::MachineConfig& cfg) {
       .set("dram_channels", cfg.mem.dram.n_channels)
       .set("dram_channel_words_per_cycle", cfg.mem.dram.channel_words_per_cycle)
       .set("dram_access_latency", cfg.mem.dram.access_latency)
-      .set("scatter_add_units_per_bank", cfg.mem.scatter_add.units_per_bank)
       .set("scatter_add_latency", cfg.mem.scatter_add.latency)
       .set("combining_entries", cfg.mem.scatter_add.combining_entries)
       .set("address_generators", cfg.mem.n_address_generators)
@@ -159,16 +156,13 @@ obs::Json to_json(const sim::MachineConfig& cfg) {
       .set("software_pipeline", cfg.sched.software_pipeline);
   obs::Json j = obs::Json::object();
   j.set("n_clusters", cfg.n_clusters)
-      .set("fpus_per_cluster", cfg.fpus_per_cluster)
       .set("clock_ghz", cfg.clock_ghz)
       .set("peak_gflops", cfg.peak_gflops())
       .set("lrf_words_per_cluster", cfg.lrf_words_per_cluster)
       .set("srf_words", cfg.srf_words)
-      .set("srf_words_per_cycle_per_cluster", cfg.srf_words_per_cycle_per_cluster)
       .set("n_stream_descriptor_registers", cfg.n_stream_descriptor_registers)
       .set("sdr_policy", sim::sdr_policy_name(cfg.sdr_policy))
       .set("kernel_startup_cycles", cfg.kernel_startup_cycles)
-      .set("stream_issue_cycles", cfg.stream_issue_cycles)
       .set("mem", std::move(mem))
       .set("sched", std::move(sched));
   return j;

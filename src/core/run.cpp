@@ -58,6 +58,16 @@ VariantResult assemble_result(const Problem& problem, Variant variant,
 
 }  // namespace
 
+LayoutOptions layout_options(const ExperimentSetup& setup,
+                             const sim::MachineConfig& cfg) {
+  LayoutOptions lopts;
+  lopts.n_clusters = cfg.n_clusters;
+  lopts.fixed_list_length = setup.fixed_list_length;
+  lopts.strip_rounds = setup.strip_rounds;
+  lopts.srf_words = cfg.srf_words;
+  return lopts;
+}
+
 Problem Problem::make(const ExperimentSetup& setup) {
   md::WaterBoxOptions opts;
   opts.n_molecules = setup.n_molecules;
@@ -81,13 +91,9 @@ Problem Problem::make(const ExperimentSetup& setup) {
 
 VariantResult run_variant(const Problem& problem, Variant variant,
                           const sim::MachineConfig& cfg) {
-  LayoutOptions lopts;
-  lopts.n_clusters = cfg.n_clusters;
-  lopts.fixed_list_length = problem.setup.fixed_list_length;
-  lopts.strip_rounds = problem.setup.strip_rounds;
-  lopts.srf_words = cfg.srf_words;
   const VariantLayout layout =
-      build_layout(variant, problem.system, problem.half_list, lopts);
+      build_layout(variant, problem.system, problem.half_list,
+                   layout_options(problem.setup, cfg));
 
   const kernel::KernelDef kdef = build_water_kernel(
       variant, problem.system.model(), problem.setup.fixed_list_length);
@@ -110,13 +116,9 @@ std::vector<VariantResult> run_all_variants(const Problem& problem,
 
 EnergyRunResult run_expanded_with_energy(const Problem& problem,
                                          const sim::MachineConfig& cfg) {
-  LayoutOptions lopts;
-  lopts.n_clusters = cfg.n_clusters;
-  lopts.fixed_list_length = problem.setup.fixed_list_length;
-  lopts.strip_rounds = problem.setup.strip_rounds;
-  lopts.srf_words = cfg.srf_words;
-  const VariantLayout layout = build_layout(Variant::kExpanded, problem.system,
-                                            problem.half_list, lopts);
+  const VariantLayout layout =
+      build_layout(Variant::kExpanded, problem.system, problem.half_list,
+                   layout_options(problem.setup, cfg));
   const kernel::KernelDef kdef =
       build_expanded_energy_kernel(problem.system.model());
 

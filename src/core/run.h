@@ -26,6 +26,11 @@ struct ExperimentSetup {
   std::int64_t strip_rounds = 0;
 };
 
+/// The layout options of a run of `setup` on `cfg`: the machine's cluster
+/// count and SRF size, the setup's list length and strip length.
+LayoutOptions layout_options(const ExperimentSetup& setup,
+                             const sim::MachineConfig& cfg);
+
 /// Everything measured from one variant run (Figures 8-9, Table 4).
 struct VariantResult {
   Variant variant;

@@ -10,6 +10,10 @@
 //   2  timelines gain the SDR-stall lane (n_intervals now counts stall
 //      runs and zero-length marker intervals; Chrome traces gain an
 //      "SDR stall" track), and records may embed smdprof sections
+//   3  the machine record drops four keys: the per-cluster FPU count and
+//      SRF words per cycle (sched.n_fpus and sched.srf_words_per_cycle
+//      hold them), and the stream-issue overhead and scatter-add units
+//      per bank, which the model never read
 #pragma once
 
 namespace smd::core {
@@ -18,6 +22,6 @@ namespace smd::core {
 /// is renamed, removed, or changes meaning -- not for pure additions that
 /// keep existing fields intact... unless the addition changes how existing
 /// fields must be interpreted (as the stall lane did to n_intervals).
-inline constexpr int kBenchSchemaVersion = 2;
+inline constexpr int kBenchSchemaVersion = 3;
 
 }  // namespace smd::core

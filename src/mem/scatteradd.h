@@ -19,8 +19,11 @@
 
 namespace smd::mem {
 
+/// The memory model gives each cache bank one scatter-add unit, fronted by
+/// one combining store (MemSystem's per-bank state).
+inline constexpr int kScatterAddUnitsPerBank = 1;
+
 struct ScatterAddConfig {
-  int units_per_bank = 1;
   int latency = 4;            ///< scatter-add FU latency (merge window)
   int combining_entries = 8;  ///< per bank
 };

@@ -39,9 +39,9 @@ analysis::Diagnostics MachineConfig::validate() const {
     d.error("MC001", loc,
             "n_clusters must be positive, got " + std::to_string(n_clusters));
   }
-  if (fpus_per_cluster <= 0) {
-    d.error("MC002", loc, "fpus_per_cluster must be positive, got " +
-                              std::to_string(fpus_per_cluster));
+  if (sched.n_fpus <= 0) {
+    d.error("MC002", loc, "sched.n_fpus must be positive, got " +
+                              std::to_string(sched.n_fpus));
   }
   if (clock_ghz <= 0.0) {
     d.error("MC003", loc,
@@ -64,13 +64,14 @@ analysis::Diagnostics MachineConfig::validate() const {
            "a single SDR serializes every transfer (no memory/compute "
            "overlap is possible)");
   }
-  if (srf_words_per_cycle_per_cluster <= 0) {
-    d.error("MC007", loc, "srf_words_per_cycle_per_cluster must be positive, "
-                          "got " +
-                              std::to_string(srf_words_per_cycle_per_cluster));
+  if (sched.srf_words_per_cycle <= 0) {
+    d.error("MC007", loc,
+            "sched.srf_words_per_cycle must be positive, got " +
+                std::to_string(sched.srf_words_per_cycle));
   }
-  if (kernel_startup_cycles < 0 || stream_issue_cycles < 0) {
-    d.error("MC008", loc, "startup/issue overheads must be non-negative");
+  if (kernel_startup_cycles < 0) {
+    d.error("MC008", loc, "kernel_startup_cycles must be non-negative, got " +
+                              std::to_string(kernel_startup_cycles));
   }
 
   // Memory system.
@@ -95,8 +96,7 @@ analysis::Diagnostics MachineConfig::validate() const {
   if (mem.n_address_generators <= 0 || mem.addrs_per_generator <= 0) {
     d.error("MC011", loc, "address generator throughput must be positive");
   }
-  if (mem.scatter_add.units_per_bank <= 0 || mem.scatter_add.latency < 1 ||
-      mem.scatter_add.combining_entries < 1) {
+  if (mem.scatter_add.latency < 1 || mem.scatter_add.combining_entries < 1) {
     d.error("MC012", loc, "scatter-add unit configuration must be positive");
   }
   // The memory system sizes its per-bank rings and MSHR tables by these
@@ -125,10 +125,9 @@ analysis::Diagnostics MachineConfig::validate() const {
   }
 
   // Kernel scheduler options.
-  if (sched.n_fpus <= 0 || sched.srf_words_per_cycle <= 0 ||
-      sched.cond_units <= 0) {
-    d.error("MC013", loc, "schedule resources (FPUs, SRF port, conditional "
-                          "units) must be positive");
+  if (sched.cond_units <= 0) {
+    d.error("MC013", loc, "sched.cond_units must be positive, got " +
+                              std::to_string(sched.cond_units));
   }
   if (sched.unroll < 1 || sched.max_ii < 1) {
     d.error("MC014", loc, "schedule unroll and max_ii must be >= 1");

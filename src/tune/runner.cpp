@@ -14,11 +14,6 @@
 namespace smd::tune {
 namespace {
 
-/// Aggregate DRAM bandwidth in words per cycle for a machine config.
-double dram_words_per_cycle(const sim::MachineConfig& cfg) {
-  return cfg.mem.dram.n_channels * cfg.mem.dram.channel_words_per_cycle;
-}
-
 Metrics metrics_from_estimate(const core::AnalyticEstimate& e,
                               const sim::MachineConfig& cfg,
                               std::string source) {
@@ -92,8 +87,7 @@ core::AnalyticEstimate estimate(const core::Problem& problem,
   if (cand.blocking_cells > 0) {
     const core::BlockedImplProfile p = core::profile_blocked_implementation(
         problem.system, problem.half_list, problem.setup.cutoff,
-        cand.blocking_cells, cfg.sched, cfg.n_clusters,
-        dram_words_per_cycle(cfg));
+        cand.blocking_cells, cfg, cfg.dram_words_per_cycle());
     core::AnalyticEstimate e;
     e.kernel_cycles = p.est_kernel_cycles;
     e.memory_cycles = p.est_memory_cycles;
@@ -101,15 +95,11 @@ core::AnalyticEstimate estimate(const core::Problem& problem,
     e.mem_words = p.words_total;
     return e;
   }
-  core::LayoutOptions lopts;
-  lopts.n_clusters = cfg.n_clusters;
+  core::LayoutOptions lopts = core::layout_options(problem.setup, cfg);
   lopts.fixed_list_length = cand.fixed_list_length;
   lopts.strip_rounds = cand.strip_rounds;
-  lopts.srf_words = cfg.srf_words;
   return core::estimate_variant_run(problem.system, problem.half_list,
-                                    cand.variant, lopts, cfg.sched,
-                                    dram_words_per_cycle(cfg),
-                                    cfg.kernel_startup_cycles);
+                                    cand.variant, lopts, cfg);
 }
 
 Runner::Runner(const core::Problem& problem, RunnerOptions opts)

@@ -611,11 +611,9 @@ TEST(Property, EveryVariantStreamProgramIsLintClean) {
   for (core::Variant v :
        {core::Variant::kExpanded, core::Variant::kFixed,
         core::Variant::kVariable, core::Variant::kDuplicated}) {
-    core::LayoutOptions lopts;
-    lopts.n_clusters = cfg.n_clusters;
-    lopts.srf_words = cfg.srf_words;
     const core::VariantLayout layout =
-        core::build_layout(v, problem.system, problem.half_list, lopts);
+        core::build_layout(v, problem.system, problem.half_list,
+                           core::layout_options(setup, cfg));
     const KernelDef kdef =
         core::build_water_kernel(v, problem.system.model());
     mem::GlobalMemory memory;
@@ -638,9 +636,10 @@ TEST(Property, EveryBuiltinBlockingSchemeIsCollisionFree) {
   core::ExperimentSetup setup;
   setup.n_molecules = 48;
   const core::Problem problem = core::Problem::make(setup);
+  const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
   for (int cells : core::builtin_blocking_cells()) {
     const core::BlockingScheme scheme =
-        core::build_blocking_scheme(problem.system, cells);
+        core::build_blocking_scheme(problem.system, cells, cfg.n_clusters);
     const Diagnostics d =
         analysis::check_scatter_assignment(scheme.to_scatter_assignment());
     EXPECT_EQ(d.errors(), 0) << scheme.name << ":\n" << d.format();

@@ -96,13 +96,9 @@ TEST(MemsysGolden, StreamMdVariantsMatchRecordedDigests) {
       cfg.mem.cache.n_banks = 6;
       cfg.mem.cache.line_words = 12;
     }
-    core::LayoutOptions lopts;
-    lopts.n_clusters = cfg.n_clusters;
-    lopts.fixed_list_length = problem.setup.fixed_list_length;
-    lopts.strip_rounds = problem.setup.strip_rounds;
-    lopts.srf_words = cfg.srf_words;
-    const core::VariantLayout layout = core::build_layout(
-        c.variant, problem.system, problem.half_list, lopts);
+    const core::VariantLayout layout =
+        core::build_layout(c.variant, problem.system, problem.half_list,
+                           core::layout_options(problem.setup, cfg));
     const kernel::KernelDef kdef =
         core::build_water_kernel(c.variant, problem.system.model());
     sim::Machine machine(cfg);

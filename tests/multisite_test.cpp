@@ -12,6 +12,7 @@
 #include "src/md/constants.h"
 #include "src/md/vec3.h"
 #include "src/md/water.h"
+#include "src/sim/config.h"
 #include "src/util/rng.h"
 
 namespace smd::core {
@@ -144,10 +145,10 @@ TEST(Multisite, ComplexModelsRaiseArithmeticIntensity) {
 TEST(Multisite, ProfileComputeVsBandwidthBound) {
   // With generous memory bandwidth the projection is compute-bound and
   // scales ~linearly with cluster count.
-  const MultisiteProfile p16 =
-      profile_multisite_kernel(md::spc(), {.unroll = 2}, 16, 1000.0);
-  const MultisiteProfile p32 =
-      profile_multisite_kernel(md::spc(), {.unroll = 2}, 32, 1000.0);
+  sim::MachineConfig cfg = sim::MachineConfig::merrimac();
+  const MultisiteProfile p16 = profile_multisite_kernel(md::spc(), cfg, 1000.0);
+  cfg.n_clusters = 32;
+  const MultisiteProfile p32 = profile_multisite_kernel(md::spc(), cfg, 1000.0);
   EXPECT_NEAR(p32.projected_gflops / p16.projected_gflops, 2.0, 0.01);
 }
 

@@ -133,13 +133,9 @@ SimOut simulate(const core::Problem& problem, core::Variant v,
   const kernel::KernelDef kdef =
       core::build_water_kernel(v, problem.system.model(),
                                problem.setup.fixed_list_length);
-  core::LayoutOptions lopts;
-  lopts.n_clusters = cfg.n_clusters;
-  lopts.fixed_list_length = problem.setup.fixed_list_length;
-  lopts.strip_rounds = problem.setup.strip_rounds;
-  lopts.srf_words = cfg.srf_words;
   const core::VariantLayout layout =
-      core::build_layout(v, problem.system, problem.half_list, lopts);
+      core::build_layout(v, problem.system, problem.half_list,
+                         core::layout_options(problem.setup, cfg));
   sim::Machine machine(cfg);
   const core::ProblemImage image =
       core::upload_system(machine.memory(), problem.system);
