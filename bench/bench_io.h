@@ -225,35 +225,56 @@ inline std::vector<int> int_list_flag_or_exit(int argc, char** argv,
   }
 }
 
-/// A molecule count read from `what`; a count below 1 -- an empty box
-/// that "simulates" in 0 cycles -- exits 2 through usage_error.
-inline int molecule_count_or_exit(const char* tool, const std::string& what,
-                                  int n, const char* usage) {
-  if (n < 1) {
+/// What a count flag counts (a singular noun, for the message) and the
+/// values it may take.
+struct Count {
+  const char* unit;
+  int lo = 1;
+  int hi = std::numeric_limits<int>::max();
+};
+
+inline constexpr Count kMolecules{"molecule"};
+
+/// The one rule for counts: `n`, read from `what`, if it lies in
+/// [c.lo, c.hi]; otherwise exit 2 through usage_error ("--workers: need at
+/// least 1 worker, got 0"), before a negative count wraps through size_t
+/// or an empty box "simulates" in 0 cycles.
+inline int count_or_exit(const char* tool, const std::string& what, int n,
+                         const Count& c, const char* usage) {
+  if (n < c.lo || n > c.hi) {
+    const bool low = n < c.lo;
     usage_error(tool,
-                what + ": need at least 1 molecule, got " + std::to_string(n),
+                what + ": need at " + (low ? "least " : "most ") +
+                    std::to_string(low ? c.lo : c.hi) + " " + c.unit +
+                    ", got " + std::to_string(n),
                 usage);
   }
   return n;
 }
 
-/// `--molecules`, the water-box size every simulating driver takes, or
-/// {fallback} when the flag is absent; with `list` the flag may name
-/// several sizes (`N,M,...`, parse_int_list syntax). Every driver reads it
-/// here, so a malformed value or a count below 1 exits 2 everywhere.
+/// `--<name>` counts under count_or_exit, or `fallback` when the flag is
+/// absent; with `list` the flag may name several values (`a,b,c` or
+/// `lo:hi:step`, parse_int_list syntax). A malformed value exits 2 too.
+inline std::vector<int> counts_or_exit(int argc, char** argv, const char* tool,
+                                       const std::string& name, const Count& c,
+                                       std::vector<int> fallback,
+                                       const char* usage, bool list = false) {
+  const std::vector<int> counts =
+      list ? int_list_flag_or_exit(argc, argv, tool, name, std::move(fallback),
+                                   usage)
+           : std::vector<int>{int_flag_or_exit(argc, argv, tool, name,
+                                               fallback.front(), usage)};
+  for (const int n : counts) count_or_exit(tool, "--" + name, n, c, usage);
+  return counts;
+}
+
+/// `--molecules`, the water-box size every simulating driver takes.
 inline std::vector<int> molecules_or_exit(int argc, char** argv,
                                           const char* tool, int fallback,
                                           const char* usage,
                                           bool list = false) {
-  const std::vector<int> counts =
-      list ? int_list_flag_or_exit(argc, argv, tool, "molecules", {fallback},
-                                   usage)
-           : std::vector<int>{int_flag_or_exit(argc, argv, tool, "molecules",
-                                               fallback, usage)};
-  for (const int n : counts) {
-    molecule_count_or_exit(tool, "--molecules", n, usage);
-  }
-  return counts;
+  return counts_or_exit(argc, argv, tool, "molecules", kMolecules, {fallback},
+                        usage, list);
 }
 
 /// Whether `path` can be opened for writing. A file the probe had to

@@ -39,6 +39,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -272,18 +273,25 @@ int main(int argc, char** argv) {
                        {"--no-quantile-check"});
   benchio::JsonOut jout(argc, argv, "bench_svc_load");
 
-  const int n_requests = benchio::int_flag_or_exit(
-      argc, argv, "bench_svc_load", "requests", 1000, kUsage);
-  const int n_molecules =
-      benchio::molecules_or_exit(argc, argv, "bench_svc_load", 32, kUsage)
+  const char* tool = "bench_svc_load";
+  const int n_requests =
+      benchio::counts_or_exit(argc, argv, tool, "requests", {"request"},
+                              {1000}, kUsage)
           .front();
-  const std::vector<int> workers = benchio::int_list_flag_or_exit(
-      argc, argv, "bench_svc_load", "workers", {1, 4}, kUsage);
-  const std::vector<int> dup_pcts = benchio::int_list_flag_or_exit(
-      argc, argv, "bench_svc_load", "dups", {0, 50, 100}, kUsage);
-  const std::size_t queue_cap =
-      static_cast<std::size_t>(benchio::int_flag_or_exit(
-          argc, argv, "bench_svc_load", "queue-cap", n_requests + 16, kUsage));
+  const int n_molecules =
+      benchio::molecules_or_exit(argc, argv, tool, 32, kUsage).front();
+  const std::vector<int> workers = benchio::counts_or_exit(
+      argc, argv, tool, "workers", {"worker"}, {1, 4}, kUsage, true);
+  const std::vector<int> dup_pcts = benchio::counts_or_exit(
+      argc, argv, tool, "dups", {"percent", 0, 100}, {0, 50, 100}, kUsage,
+      true);
+  // By default the queue holds every request, so no regime is refused.
+  const int cap_all =
+      std::min(n_requests, std::numeric_limits<int>::max() - 16) + 16;
+  const auto queue_cap = static_cast<std::size_t>(
+      benchio::counts_or_exit(argc, argv, tool, "queue-cap", {"slot"},
+                              {cap_all}, kUsage)
+          .front());
   bool quantile_check = true;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--no-quantile-check") quantile_check = false;

@@ -245,9 +245,10 @@ int main(int argc, char** argv) {
   }
 
   tune::RunnerOptions ropts;
-  ropts.jobs = benchio::int_flag_or_exit(argc, argv, "smdtune", "jobs", 1,
-                                         kUsage);
-  ropts.cache_path = benchio::flag_value(argc, argv, "cache");
+  ropts.jobs = benchio::counts_or_exit(argc, argv, "smdtune", "jobs", {"job"},
+                                       {1}, kUsage)
+                   .front();
+  ropts.cache_path = benchio::output_path_or_exit(argc, argv, "cache");
   ropts.verbose = benchio::has_flag(argc, argv, "--verbose");
   ropts.prune_slack = benchio::double_flag_or_exit(argc, argv, "smdtune",
                                                    "prune", ropts.prune_slack,

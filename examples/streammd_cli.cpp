@@ -51,6 +51,9 @@ int main(int argc, char** argv) {
     std::printf("usage: %s\n", kUsage);
     return 0;
   }
+  const std::string json_path = benchio::output_path_or_exit(argc, argv, "json");
+  const std::string trace_path =
+      benchio::output_path_or_exit(argc, argv, "trace");
 
   core::ExperimentSetup setup;
   setup.n_molecules =
@@ -88,8 +91,6 @@ int main(int argc, char** argv) {
   const std::string variant_flag = benchio::flag_value(argc, argv, "variant");
   const std::string variant = variant_flag.empty() ? "all" : variant_flag;
   const bool timeline = benchio::has_flag(argc, argv, "--timeline");
-  const std::string json_path = benchio::flag_value(argc, argv, "json");
-  const std::string trace_path = benchio::flag_value(argc, argv, "trace");
 
   std::vector<core::Variant> variants(core::kAllVariants.begin(),
                                       core::kAllVariants.end());

@@ -22,9 +22,10 @@ int main(int argc, char** argv) {
       benchio::check_flags(argc, argv, kTool, kUsage, {}, {}, 1);
   core::ExperimentSetup setup;
   if (!args.empty()) {
-    setup.n_molecules = benchio::molecule_count_or_exit(
+    setup.n_molecules = benchio::count_or_exit(
         kTool, "molecules",
-        benchio::int_or_exit(kTool, "molecules", args.front(), kUsage), kUsage);
+        benchio::int_or_exit(kTool, "molecules", args.front(), kUsage),
+        benchio::kMolecules, kUsage);
   }
 
   const core::Problem problem = core::Problem::make(setup);

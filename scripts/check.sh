@@ -97,8 +97,10 @@ for preset in "${presets[@]}"; do
   # Flag contract (bench/bench_io.h check_flags): every bench and example
   # binary rejects a flag it does not read, and a stray positional, with
   # exit 2, before any work. bench_native_kernels hands its arguments to
-  # google-benchmark, so it only has to fail.
-  echo "==== unknown flags and stray arguments exit 2 (${preset}) ===="
+  # google-benchmark, so it only has to fail. An unwritable --json or
+  # --trace path also fails before any work: exit 1 (the path probe) or 2
+  # (a flag the binary does not take), with nothing printed to stdout.
+  echo "==== unknown flags, stray arguments and bad output paths (${preset}) ===="
   for exe in "${build_dir[${preset}]}"/bench/* "${build_dir[${preset}]}"/examples/*; do
     [ -f "${exe}" ] && [ -x "${exe}" ] || continue
     name=$(basename "${exe}")
@@ -109,6 +111,15 @@ for preset in "${presets[@]}"; do
         [ "${status}" -ne 0 ] || { echo "${name} accepted ${arg}"; exit 1; }
       elif [ "${status}" -ne 2 ]; then
         echo "${name} ${arg} exited ${status}, want 2"
+        exit 1
+      fi
+    done
+    for flag in --json --trace; do
+      status=0
+      out=$("${exe}" "${flag}" /nonexistent-dir/x.json 2>/dev/null) || status=$?
+      if { [ "${status}" -ne 1 ] && [ "${status}" -ne 2 ]; } || [ -n "${out}" ]; then
+        echo "${name} ${flag} /nonexistent-dir/x.json exited ${status}" \
+          "after ${#out} bytes of stdout, want 1 or 2 before any output"
         exit 1
       fi
     done
