@@ -33,6 +33,7 @@ inline const std::vector<MetricInfo>& known_metric_names() {
       {"svc.jobs.cache_hit", "counter"},
       {"svc.jobs.simulated", "counter"},
       {"svc.jobs.internal_errors", "counter"},
+      {"svc.cache.save_errors", "counter"},
       {"svc.queue.depth", "gauge"},
       {"svc.queue.peak_depth", "gauge"},
       {"svc.latency.queue_wait", "histogram"},
