@@ -38,8 +38,7 @@ RooflinePoint roofline_point(const core::VariantResult& r,
   p.ai_flops_per_word = r.ai_measured;
   p.ai_flops_per_byte = r.ai_measured / 8.0;
   p.peak_gflops = cfg.peak_gflops();
-  p.dram_bw_gbps = cfg.mem.dram.n_channels *
-                   cfg.mem.dram.channel_words_per_cycle * 8.0 * cfg.clock_ghz;
+  p.dram_bw_gbps = cfg.dram_words_per_cycle() * 8.0 * cfg.clock_ghz;
   p.cache_bw_gbps = cfg.mem.cache.n_banks * 8.0 * cfg.clock_ghz;
   p.dram_bound_gflops = p.ai_flops_per_byte * p.dram_bw_gbps;
   p.roofline_gflops = std::min(p.peak_gflops, p.dram_bound_gflops);
