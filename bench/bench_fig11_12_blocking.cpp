@@ -18,6 +18,8 @@
 //   --sizes a,b,c | lo:hi:step   normalized cluster sizes to evaluate
 //                                (default 0.6:4.2:0.3)
 //   --molecules N                water-box size (default 900)
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "bench/bench_io.h"
@@ -61,11 +63,14 @@ void show(const char* title, const core::BlockingModel& model,
                   model.params().variable_kernel_cycles);
   const auto min = model.minimum();
   for (const auto& p : eval_sizes(model, sizes)) {
-    const int bar = static_cast<int>(p.time_rel * 25 + 0.5);
+    // 25 '#' per unit of relative time, at most 80; clamped as a double so
+    // a huge or non-finite time never reaches the integer conversion.
+    const double width = p.time_rel * 25 + 0.5;
+    const std::size_t bar =
+        width >= 1.0 ? static_cast<std::size_t>(std::min(width, 80.0)) : 0;
     std::printf("  x=%4.1f (%5.1f mol)  kernel %5.2f  memory %5.2f  time %5.2f |%s\n",
                 p.size, p.molecules, p.kernel_rel, p.memory_rel, p.time_rel,
-                std::string(static_cast<std::size_t>(std::min(bar, 80)), '#')
-                    .c_str());
+                std::string(bar, '#').c_str());
   }
   std::printf("  minimum: %.2fx variable at cluster size %.2f (%.1f molecules)\n\n",
               min.time_rel, min.size, min.molecules);
@@ -74,28 +79,49 @@ void show(const char* title, const core::BlockingModel& model,
 }  // namespace
 
 int main(int argc, char** argv) {
+  static const char* kTool = "bench_fig11_12_blocking";
   static const char* kUsage =
       "bench_fig11_12_blocking [--sizes a,b,c|lo:hi:step] [--molecules N] "
       "[--json path]";
-  benchio::check_flags(argc, argv, "bench_fig11_12_blocking", kUsage,
+  benchio::check_flags(argc, argv, kTool, kUsage,
                        {"--sizes", "--molecules", "--json"}, {});
-  benchio::JsonOut jout(argc, argv, "bench_fig11_12_blocking");
+  benchio::JsonOut jout(argc, argv, kTool);
 
+  // Cluster sizes must be finite and above 0 (BlockingModel::at); checked
+  // before the calibration run.
   std::vector<double> sizes;
   const std::string sizes_flag = benchio::flag_value(argc, argv, "sizes");
   try {
-    sizes = sizes_flag.empty() ? benchio::parse_value_list("0.6:4.2:0.3")
-                               : benchio::parse_value_list(sizes_flag);
+    sizes = benchio::parse_value_list(sizes_flag.empty() ? "0.6:4.2:0.3"
+                                                         : sizes_flag);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "--sizes: %s\n", e.what());
-    return 2;
+    benchio::usage_error(kTool,
+                         "--sizes: bad value list '" + sizes_flag + "' (" +
+                             e.what() + ")",
+                         kUsage);
+  }
+  for (const double x : sizes) {
+    if (!(std::isfinite(x) && x > 0.0)) {
+      char got[32];
+      std::snprintf(got, sizeof got, "%g", x);
+      benchio::usage_error(
+          kTool, std::string("--sizes: need a finite size above 0, got ") + got,
+          kUsage);
+    }
   }
 
   core::ExperimentSetup setup;
   setup.n_molecules = benchio::molecules_or_exit(
-      argc, argv, "bench_fig11_12_blocking", setup.n_molecules, kUsage).front();
+      argc, argv, kTool, setup.n_molecules, kUsage).front();
   const core::Problem problem = core::Problem::make(setup);
   const auto variable = core::run_variant(problem, core::Variant::kVariable);
+  if (variable.n_real_interactions == 0) {
+    std::fprintf(stderr,
+                 "%s: cannot calibrate the blocking model: the %d-molecule "
+                 "box has no interaction pairs within the cutoff\n",
+                 kTool, problem.system.n_molecules());
+    return 2;
+  }
 
   core::BlockingModelParams params;
   params.cutoff = problem.setup.cutoff;

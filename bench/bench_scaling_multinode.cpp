@@ -10,6 +10,7 @@
 //   --trace path                 per-node Chrome trace of the paper sweep
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 
 #include "bench/bench_io.h"
 #include "src/core/run.h"
@@ -106,13 +107,12 @@ int main(int argc, char** argv) {
   const auto variable = core::run_variant(problem, core::Variant::kVariable);
 
   net::ScalingWorkload w;
-  w.n_molecules = problem.system.n_molecules();
-  w.cutoff = problem.setup.cutoff;
-  w.flops_per_interaction = problem.flops_per_interaction;
-  w.words_per_interaction = static_cast<double>(variable.mem_refs) /
-                            static_cast<double>(variable.n_real_interactions);
-  w.cycles_per_interaction = static_cast<double>(variable.run.cycles) /
-                             static_cast<double>(variable.n_real_interactions);
+  try {
+    w = prof::scaling_workload(problem, variable);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_scaling_multinode: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("== Multi-node strong scaling (calibrated from `variable`) ==\n\n");
   char title[96];

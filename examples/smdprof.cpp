@@ -31,10 +31,13 @@
 //
 // --record-baseline / --check-baseline / --diff drive the regression
 // harness of src/prof/baseline.h. The simulator is deterministic, so the
-// recorded metrics are byte-stable; --check-baseline re-runs the
-// experiment and exits non-zero if any metric worsened beyond its
-// tolerance. BENCH_baseline.json at the repo root is the committed
-// baseline that scripts/check.sh gates on.
+// recorded metrics are byte-stable; --check-baseline reads the file, re-runs
+// the experiment and exits 1 on any difference from what --record-baseline
+// would write now, naming each differing path (obs::diff). --diff prints
+// the obs::diff of two files: exit 0 if identical, 1 if not. An unreadable
+// file or one of another schema version exits 2 before any work.
+// BENCH_baseline.json at the repo root is the committed baseline that
+// scripts/check.sh gates on.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -159,24 +162,13 @@ int run_explain(const Experiment& e, benchio::JsonOut& json) {
 const std::vector<std::int64_t> kBaselineScalingNodes = {1,  2,  4, 8,
                                                          16, 32, 64};
 
-/// Multi-node workload calibrated from the single-node `variable` run,
-/// exactly as bench_scaling_multinode calibrates its sweeps.
+/// Multi-node workload calibrated from the single-node `variable` run.
 net::ScalingWorkload scaling_workload(const Experiment& e) {
   const auto* variable = by_variant(e, core::Variant::kVariable);
   if (variable == nullptr) {
     throw std::runtime_error("no `variable` run to calibrate scaling from");
   }
-  net::ScalingWorkload w;
-  w.n_molecules = e.problem.system.n_molecules();
-  w.cutoff = e.setup.cutoff;
-  w.flops_per_interaction = e.problem.flops_per_interaction;
-  w.words_per_interaction = static_cast<double>(variable->mem_refs) /
-                            static_cast<double>(variable->n_real_interactions);
-  w.cycles_per_interaction =
-      static_cast<double>(variable->run.cycles) /
-      static_cast<double>(variable->n_real_interactions);
-  w.seed = e.setup.seed;
-  return w;
+  return prof::scaling_workload(e.problem, *variable);
 }
 
 std::vector<net::StepBreakdown> scaling_breakdowns(
@@ -323,11 +315,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "usage: smdprof --diff baseA baseB\n");
         return 2;
       }
-      const prof::Baseline a = prof::Baseline::load(diff);
-      const prof::Baseline b = prof::Baseline::load(positionals.front());
-      const prof::CompareReport rep = prof::compare(a, b);
-      std::fputs(prof::format_compare(rep).c_str(), stdout);
-      return rep.ok() ? 0 : 1;
+      const std::string d =
+          obs::diff(prof::load_baseline(diff),
+                    prof::load_baseline(positionals.front()));
+      std::printf("%s\n", d.empty() ? "baselines identical" : d.c_str());
+      return d.empty() ? 0 : 1;
     }
 
     const int n_molecules =
@@ -358,6 +350,11 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Read the baseline before the experiment: an unreadable file or one
+    // of another schema version exits 2 without simulating.
+    const obs::Json base =
+        check.empty() ? obs::Json() : prof::load_baseline(check);
+
     // --scaling only needs the `variable` run it calibrates from; the
     // other modes (and the baseline, which also snapshots per-variant
     // metrics) need all four variants.
@@ -372,32 +369,34 @@ int main(int argc, char** argv) {
     }
 
     // The baseline additionally pins the multi-node decomposition on the
-    // fixed default sweep, so scaling metrics are regression-gated like
-    // the single-node ones.
-    auto capture = [&] {
-      prof::Baseline b = prof::Baseline::capture(e.results, e.setup, e.cfg);
+    // fixed default sweep.
+    if (!record.empty() || !check.empty()) {
       const net::ScalingModel model(scaling_workload(e), net::NetworkConfig{});
-      b.capture_scaling(scaling_breakdowns(model, kBaselineScalingNodes));
-      return b;
-    };
-    if (!record.empty()) {
-      const prof::Baseline b = capture();
-      b.write(record);
-      std::printf("baseline recorded to %s (%zu variants, %zu scaling "
-                  "points)\n",
-                  record.c_str(), b.variants.size(), b.scaling.size());
-    }
-    if (!check.empty()) {
-      const prof::Baseline base = prof::Baseline::load(check);
-      const prof::Baseline cur = capture();
-      const prof::CompareReport rep = prof::compare(base, cur);
-      std::fputs(prof::format_compare(rep).c_str(), stdout);
-      obs::Json jr = obs::Json::object();
-      jr.set("ok", rep.ok());
-      jr.set("n_regressions",
-             static_cast<std::int64_t>(rep.regressions().size()));
-      json.root().set("baseline_check", std::move(jr));
-      if (!rep.ok()) status = 1;
+      const obs::Json now = prof::capture_baseline(
+          e.results, e.setup, e.cfg,
+          scaling_breakdowns(model, kBaselineScalingNodes));
+      if (!record.empty()) {
+        obs::write_file(now, record);
+        std::printf("baseline recorded to %s (%zu variants, %zu scaling "
+                    "points)\n",
+                    record.c_str(), now.at("variants").size(),
+                    now.at("scaling").size());
+      }
+      if (!check.empty()) {
+        const std::string d = prof::diff_baseline(base, now);
+        if (d.empty()) {
+          std::printf("baseline check OK: %s matches this build\n",
+                      check.c_str());
+        } else {
+          std::printf("baseline check FAILED (%s vs this build): %s\n",
+                      check.c_str(), d.c_str());
+          status = 1;
+        }
+        obs::Json jr = obs::Json::object();
+        jr.set("ok", d.empty());
+        jr.set("diff", d);
+        json.root().set("baseline_check", std::move(jr));
+      }
     }
     return status;
   } catch (const std::exception& ex) {

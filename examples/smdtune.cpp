@@ -46,7 +46,11 @@ const tune::EvalResult* find_variant(const std::vector<tune::EvalResult>& rs,
   return nullptr;
 }
 
-double pct(double a, double b) { return (a / b - 1.0) * 100.0; }
+/// a relative to b in percent; 0 when b is 0 (a box with no interaction
+/// pair runs at 0 GFLOPS).
+double pct(double a, double b) {
+  return b != 0.0 ? (a / b - 1.0) * 100.0 : 0.0;
+}
 
 /// --paper: the three tuned points of the paper, as a search.
 int run_paper(const core::Problem& problem, tune::RunnerOptions ropts,
@@ -120,7 +124,10 @@ int run_paper(const core::Problem& problem, tune::RunnerOptions ropts,
   // put it in the paper's memory-bound regime (memory ~2.5x kernel time).
   obs::Json blocking = obs::Json::object();
   bool blocking_ok = false;
-  if (variable != nullptr) {
+  if (problem.half_list.n_pairs() == 0) {
+    std::printf("blocking: the box has no interaction pairs to calibrate "
+                "the model from\n\n");
+  } else if (variable != nullptr) {
     core::BlockingModelParams params;
     params.cutoff = problem.setup.cutoff;
     params.variable_kernel_cycles =

@@ -38,15 +38,19 @@ int main(int argc, char** argv) {
 
   std::printf("how each variant shapes the work:\n");
   for (const auto& r : results) {
+    // A box with no interaction pair computes none: 0% useful.
+    const double useful =
+        r.n_computed_interactions == 0
+            ? 0.0
+            : 100.0 * static_cast<double>(r.n_real_interactions) *
+                  (r.variant == core::Variant::kDuplicated ? 2.0 : 1.0) /
+                  static_cast<double>(r.n_computed_interactions);
     std::printf("  %-10s %s\n", r.name.c_str(), core::variant_description(r.variant));
     std::printf("             central blocks: %lld, neighbor slots: %lld, "
                 "computed interactions: %lld (%.0f%% useful)\n",
                 static_cast<long long>(r.n_central_blocks),
                 static_cast<long long>(r.n_neighbor_slots),
-                static_cast<long long>(r.n_computed_interactions),
-                100.0 * static_cast<double>(r.n_real_interactions) *
-                    (r.variant == core::Variant::kDuplicated ? 2.0 : 1.0) /
-                    static_cast<double>(r.n_computed_interactions));
+                static_cast<long long>(r.n_computed_interactions), useful);
   }
 
   std::printf("\narithmetic intensity:\n%s",

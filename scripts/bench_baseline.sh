@@ -6,15 +6,17 @@
 #   scripts/bench_baseline.sh --check      # compare instead of record
 #
 # The simulator is deterministic, so the recorded metrics are byte-stable:
-# re-recording on an unchanged tree produces an identical file. Commit the
-# refreshed BENCH_baseline.json together with the change that moved the
-# numbers; scripts/check.sh and the `smdprof_baseline` ctest gate on it.
+# re-recording on an unchanged tree, under any preset, produces an
+# identical file. scripts/check.sh and the `smdprof_baseline` ctest fail
+# on any difference from it, improvements included, so commit the
+# re-recorded BENCH_baseline.json together with the change that moved the
+# numbers on purpose. A file of another schema version is rejected; this
+# script writes the current one.
 #
-# Since baseline schema v2 the file also pins the multi-node scaling
-# decomposition (one "p=<nodes>" entry per node count of the default
-# sweep: step time, compute/communication/serialization/imbalance
-# node-time buckets, parallel efficiency, imbalance ratio, halo fraction),
-# so parallel-performance regressions gate exactly like single-node ones.
+# The file also pins the multi-node scaling decomposition (one
+# "p=<nodes>" entry per node count of the default sweep: step time,
+# compute/communication/serialization/imbalance node-time buckets,
+# parallel efficiency, imbalance ratio, halo fraction).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

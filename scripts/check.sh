@@ -220,7 +220,7 @@ PYEOF
     "${build_dir[${preset}]}/bench/bench_native_kernels" --selfcheck
     # Benchmark-regression gate (see EXPERIMENTS.md "Profiling and
     # regression tracking"): on the first ever run record the baseline;
-    # afterwards fail if any committed metric worsened beyond tolerance.
+    # afterwards fail on any difference from the committed file.
     if [ -f BENCH_baseline.json ]; then
       echo "==== smdprof --check-baseline (${preset}) ===="
       "${build_dir[${preset}]}/examples/smdprof" --check-baseline BENCH_baseline.json

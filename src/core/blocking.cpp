@@ -9,6 +9,27 @@
 #include "src/kernel/schedule.h"
 
 namespace smd::core {
+namespace {
+
+/// The cell of each molecule when the box is cut into cells_per_dim^3
+/// cubes, binned by wrapped center: (cx * cells_per_dim + cy) *
+/// cells_per_dim + cz.
+std::vector<std::size_t> molecule_cells(const md::WaterSystem& sys,
+                                        int cells_per_dim) {
+  const double s = sys.box().length.x / cells_per_dim;
+  std::vector<std::size_t> cells(static_cast<std::size_t>(sys.n_molecules()));
+  for (int m = 0; m < sys.n_molecules(); ++m) {
+    const md::Vec3 w = sys.box().wrap(sys.molecule_center(m));
+    const int cx = std::min(cells_per_dim - 1, static_cast<int>(w.x / s));
+    const int cy = std::min(cells_per_dim - 1, static_cast<int>(w.y / s));
+    const int cz = std::min(cells_per_dim - 1, static_cast<int>(w.z / s));
+    cells[static_cast<std::size_t>(m)] = static_cast<std::size_t>(
+        (cx * cells_per_dim + cy) * cells_per_dim + cz);
+  }
+  return cells;
+}
+
+}  // namespace
 
 BlockingPoint BlockingModel::at(double size) const {
   if (size <= 0.0) throw std::runtime_error("cluster size must be positive");
@@ -86,12 +107,8 @@ BlockedImplProfile profile_blocked_implementation(
   // ---- Bin molecules by wrapped oxygen position. --------------------------
   const int n_cells = cells_per_dim * cells_per_dim * cells_per_dim;
   std::vector<int> occupancy(static_cast<std::size_t>(n_cells), 0);
-  for (int m = 0; m < sys.n_molecules(); ++m) {
-    const md::Vec3 w = sys.box().wrap(sys.molecule_center(m));
-    const int cx = std::min(cells_per_dim - 1, static_cast<int>(w.x / s));
-    const int cy = std::min(cells_per_dim - 1, static_cast<int>(w.y / s));
-    const int cz = std::min(cells_per_dim - 1, static_cast<int>(w.z / s));
-    ++occupancy[static_cast<std::size_t>((cx * cells_per_dim + cy) * cells_per_dim + cz)];
+  for (const std::size_t cell : molecule_cells(sys, cells_per_dim)) {
+    ++occupancy[cell];
   }
   p.avg_occupancy = static_cast<double>(sys.n_molecules()) / n_cells;
   p.max_occupancy = *std::max_element(occupancy.begin(), occupancy.end());
@@ -170,19 +187,12 @@ BlockingScheme build_blocking_scheme(const md::WaterSystem& sys,
   scheme.n_molecules = sys.n_molecules();
 
   // Bin molecules by wrapped center, as profile_blocked_implementation does.
-  const double edge = sys.box().length.x;
-  const double s = edge / cells_per_dim;
   const int n_cells = cells_per_dim * cells_per_dim * cells_per_dim;
   std::vector<std::vector<std::int64_t>> members(
       static_cast<std::size_t>(n_cells));
-  for (int m = 0; m < sys.n_molecules(); ++m) {
-    const md::Vec3 w = sys.box().wrap(sys.molecule_center(m));
-    const int cx = std::min(cells_per_dim - 1, static_cast<int>(w.x / s));
-    const int cy = std::min(cells_per_dim - 1, static_cast<int>(w.y / s));
-    const int cz = std::min(cells_per_dim - 1, static_cast<int>(w.z / s));
-    members[static_cast<std::size_t>((cx * cells_per_dim + cy) * cells_per_dim +
-                                     cz)]
-        .push_back(m);
+  const std::vector<std::size_t> cells = molecule_cells(sys, cells_per_dim);
+  for (std::size_t m = 0; m < cells.size(); ++m) {
+    members[cells[m]].push_back(static_cast<std::int64_t>(m));
   }
 
   // Pack each cell's molecules into n_clusters-wide central groups; padding

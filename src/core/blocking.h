@@ -132,8 +132,8 @@ struct BlockingScheme {
 };
 
 /// Build the blocking scheme's assignment for a system: molecules are
-/// binned by wrapped center into cells_per_dim^3 cells (exactly as
-/// profile_blocked_implementation does) and each cell's molecules are
+/// binned by wrapped center into cells_per_dim^3 cells (the binning
+/// profile_blocked_implementation uses) and each cell's molecules are
 /// packed into groups of `n_clusters` lanes, padding the last group with
 /// trash-row lanes.
 BlockingScheme build_blocking_scheme(const md::WaterSystem& sys,

@@ -436,7 +436,8 @@ std::int64_t VariantLayout::memory_words() const {
 double VariantLayout::arithmetic_intensity(double flops_per_interaction) const {
   const double flops =
       flops_per_interaction * static_cast<double>(n_computed_interactions);
-  return flops / static_cast<double>(memory_words());
+  const std::int64_t words = memory_words();
+  return words != 0 ? flops / static_cast<double>(words) : 0.0;
 }
 
 bool reads_fixed_list_length(Variant variant) {

@@ -83,7 +83,8 @@ struct VariantLayout {
   std::int64_t n_neighbor_slots = 0;       ///< "total neighbors" incl. dummies
 
   /// Analytic arithmetic intensity (flops per memory word) given a
-  /// flops-per-interaction census, using this data set's actual counts.
+  /// flops-per-interaction census, using this data set's actual counts;
+  /// 0 for a layout that moves no words.
   double arithmetic_intensity(double flops_per_interaction) const;
   /// Memory words this layout moves (loads + stores + index streams).
   std::int64_t memory_words() const;

@@ -27,27 +27,32 @@ VariantResult assemble_result(const Problem& problem, Variant variant,
   res.n_central_blocks = layout.n_central_blocks;
   res.n_neighbor_slots = layout.n_neighbor_slots;
 
+  // A box with no interaction pair simulates 0 cycles and moves 0 words;
+  // a rate over a zero denominator is 0, as in to_json(RunStats).
+  const auto rate = [](double num, double den) {
+    return den != 0.0 ? num / den : 0.0;
+  };
   const double seconds = res.run.seconds(cfg.clock_ghz);
   res.time_ms = seconds * 1e3;
   const double solution_flops = problem.flops_per_interaction *
                                 static_cast<double>(layout.n_real_interactions);
-  res.solution_gflops = solution_flops / seconds / 1e9;
+  res.solution_gflops = rate(solution_flops, seconds) / 1e9;
   res.all_gflops =
-      static_cast<double>(res.run.interp.executed.flops) / seconds / 1e9;
+      rate(static_cast<double>(res.run.interp.executed.flops), seconds) / 1e9;
   res.mem_refs = res.run.mem_words;
 
   res.ai_calculated = layout.arithmetic_intensity(problem.flops_per_interaction);
-  res.ai_measured = static_cast<double>(res.run.interp.executed.flops) /
-                    static_cast<double>(res.run.mem_words);
+  res.ai_measured = rate(static_cast<double>(res.run.interp.executed.flops),
+                         static_cast<double>(res.run.mem_words));
 
   const double lrf = static_cast<double>(res.run.interp.lrf_refs);
   const double srf = static_cast<double>(res.run.interp.srf_read_words +
                                          res.run.interp.srf_write_words);
   const double mem = static_cast<double>(res.run.mem_words);
   const double total = lrf + srf + mem;
-  res.lrf_fraction = lrf / total;
-  res.srf_fraction = srf / total;
-  res.mem_fraction = mem / total;
+  res.lrf_fraction = rate(lrf, total);
+  res.srf_fraction = rate(srf, total);
+  res.mem_fraction = rate(mem, total);
 
   sim::KernelCostCache costs(cfg.sched);
   const sim::KernelCost& cost = costs.get(kdef);

@@ -1,9 +1,10 @@
 // Schema versions of the repo's machine-readable artifacts.
 //
 // Every `--json` record (bench binaries, streammd_cli, smdcheck, smdtune,
-// smdprof) carries `schema_version` so downstream consumers -- above all
-// the prof::Baseline comparator -- can reject a layout they were not
-// written for instead of silently mis-reading renamed or re-scoped fields.
+// smdprof) carries `schema_version` so downstream consumers can reject a
+// layout they were not written for instead of silently mis-reading renamed
+// or re-scoped fields. BENCH_baseline.json has its own version
+// (prof::kBaselineSchemaVersion).
 //
 // History:
 //   1  original bench-record layout (telemetry PR)
@@ -14,6 +15,9 @@
 //      SRF words per cycle (sched.n_fpus and sched.srf_words_per_cycle
 //      hold them), and the stream-issue overhead and scatter-add units
 //      per bank, which the model never read
+//   4  smdprof's baseline_check is {"ok", "diff"}: n_regressions is gone,
+//      and diff holds the obs::diff of the baseline file against this
+//      build ("" when ok)
 #pragma once
 
 namespace smd::core {
@@ -22,6 +26,6 @@ namespace smd::core {
 /// is renamed, removed, or changes meaning -- not for pure additions that
 /// keep existing fields intact... unless the addition changes how existing
 /// fields must be interpreted (as the stall lane did to n_intervals).
-inline constexpr int kBenchSchemaVersion = 3;
+inline constexpr int kBenchSchemaVersion = 4;
 
 }  // namespace smd::core

@@ -11,25 +11,6 @@ namespace {
 
 using Span = std::pair<std::uint64_t, std::uint64_t>;
 
-/// Merge a raw span soup into sorted, disjoint spans clipped to [0, horizon).
-std::vector<Span> merge_spans(std::vector<Span> spans, std::uint64_t horizon) {
-  std::vector<Span> clipped;
-  for (auto [s, e] : spans) {
-    if (s >= horizon || e <= s) continue;
-    clipped.emplace_back(s, std::min(e, horizon));
-  }
-  std::sort(clipped.begin(), clipped.end());
-  std::vector<Span> out;
-  for (const auto& s : clipped) {
-    if (!out.empty() && s.first <= out.back().second) {
-      out.back().second = std::max(out.back().second, s.second);
-    } else {
-      out.push_back(s);
-    }
-  }
-  return out;
-}
-
 /// Memory-lane intervals whose label marks a scatter-add drain.
 std::vector<Span> scatter_add_spans(const sim::Timeline& tl,
                                     std::uint64_t horizon) {
@@ -40,7 +21,7 @@ std::vector<Span> scatter_add_spans(const sim::Timeline& tl,
       raw.emplace_back(iv.start, iv.end);
     }
   }
-  return merge_spans(std::move(raw), horizon);
+  return sim::merge_spans(std::move(raw), horizon);
 }
 
 /// Is cycle t covered by the (sorted, disjoint) span list?

@@ -2,16 +2,15 @@
 //
 // The simulator is fully deterministic (fixed dataset seed, cycle-accurate
 // counts), so a baseline of cycle-derived metrics is byte-stable across
-// runs on an unchanged tree -- any delta is a real behaviour change, not
-// noise. `smdprof --record-baseline` captures one (BENCH_baseline.json,
-// committed at the repo root); `smdprof --check-baseline` re-runs the
-// experiment and exits nonzero if any metric worsened beyond its per-metric
-// tolerance. Improvements are reported but never fail the check, so the
-// gate only catches regressions; refresh the baseline when an intentional
-// improvement lands.
+// runs and builds on an unchanged tree -- any delta is a real behaviour
+// change, not noise. `smdprof --record-baseline` writes one
+// (BENCH_baseline.json, committed at the repo root); `smdprof
+// --check-baseline` re-runs the experiment and exits nonzero on any
+// difference from the file, improvements included, naming each differing
+// path through obs::diff. Refresh the file (scripts/bench_baseline.sh)
+// together with the change that moves the numbers on purpose.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,92 +21,32 @@
 
 namespace smd::prof {
 
-/// Baseline file layout version (independent of core::kBenchSchemaVersion,
-/// which the file also records for provenance).
+/// Baseline file layout version.
 /// History:
 ///   1  per-variant single-node metrics
 ///   2  adds the "scaling" section: per-node-count parallel decomposition
 ///      metrics (step_ns, bucket node-times, efficiency, imbalance, halo)
-///      captured from the multi-node ledger model; v1 files still load
-///      (their scaling section is simply empty).
-inline constexpr int kBaselineSchemaVersion = 2;
+///      captured from the multi-node ledger model
+///   3  drops bench_schema_version (the --json record version, which no
+///      check read); the file is checked by exact diff
+inline constexpr int kBaselineSchemaVersion = 3;
 
-/// How to judge one metric's drift.
-struct MetricPolicy {
-  bool lower_is_better = true;
-  double rel_tol = 0.05;    ///< allowed relative worsening
-  double abs_floor = 0.0;   ///< ignore absolute drifts at or below this
-};
+/// The baseline document of a run_all_variants() result: the setup, the
+/// machine, each variant's metrics, and one "p=<nodes>" entry per
+/// multi-node breakdown. Objects keep insertion order, so the written
+/// file is diffable line by line.
+obs::Json capture_baseline(const std::vector<core::VariantResult>& results,
+                           const core::ExperimentSetup& setup,
+                           const sim::MachineConfig& cfg,
+                           const std::vector<net::StepBreakdown>& scaling);
 
-/// Tolerance policy for a metric name; unknown names get a conservative
-/// default (lower is better, 5%).
-MetricPolicy policy_for(const std::string& metric);
+/// Read a baseline file. Throws std::runtime_error when it cannot be read
+/// or parsed, or when its schema_version is not kBaselineSchemaVersion.
+obs::Json load_baseline(const std::string& path);
 
-struct BaselineMetric {
-  std::string name;
-  double value = 0.0;
-};
-
-struct VariantBaseline {
-  std::string variant;
-  std::vector<BaselineMetric> metrics;  ///< insertion-ordered
-};
-
-struct Baseline {
-  int schema_version = kBaselineSchemaVersion;
-  int bench_schema_version = 0;
-  int n_molecules = 0;
-  std::uint64_t seed = 0;
-  int fixed_list_length = 0;
-  std::string sdr_policy;
-  double peak_gflops = 0.0;
-  std::vector<VariantBaseline> variants;
-  /// Multi-node scaling decomposition, one entry per node count (named
-  /// "p=<nodes>"); empty when loaded from a schema-v1 file.
-  std::vector<VariantBaseline> scaling;
-
-  /// Deterministic metric snapshot of a full run_all_variants() result.
-  static Baseline capture(const std::vector<core::VariantResult>& results,
-                          const core::ExperimentSetup& setup,
-                          const sim::MachineConfig& cfg);
-
-  /// Append scaling metrics (the multi-node model is deterministic, so
-  /// these are byte-stable like the single-node metrics).
-  void capture_scaling(const std::vector<net::StepBreakdown>& breakdowns);
-
-  obs::Json to_json() const;
-  /// Throws std::runtime_error on an unrecognized schema_version.
-  static Baseline from_json(const obs::Json& j);
-
-  void write(const std::string& path) const;
-  static Baseline load(const std::string& path);
-};
-
-/// One metric's drift between two baselines.
-struct MetricDelta {
-  std::string variant;
-  std::string metric;
-  double baseline = 0.0;
-  double current = 0.0;
-  double rel_change = 0.0;  ///< (current - baseline) / |baseline|
-  bool regression = false;
-  bool improvement = false;
-};
-
-struct CompareReport {
-  std::vector<MetricDelta> deltas;
-  std::vector<std::string> notes;  ///< setup mismatches, missing metrics
-  std::vector<MetricDelta> regressions() const;
-  std::vector<MetricDelta> improvements() const;
-  bool ok() const { return regressions().empty() && notes.empty(); }
-};
-
-/// Compare `current` against `base`. Setup mismatches (molecule count,
-/// seed, machine) and metrics present in the baseline but absent from the
-/// current capture are reported as notes and fail ok(); metrics new in
-/// `current` are ignored (they will enter the file on the next refresh).
-CompareReport compare(const Baseline& base, const Baseline& current);
-
-std::string format_compare(const CompareReport& report);
+/// obs::diff of a baseline file's document against a capture, taken as the
+/// capture would be written (a non-finite value compares as the null the
+/// file holds): "" iff re-recording would write the same values.
+std::string diff_baseline(const obs::Json& file, const obs::Json& capture);
 
 }  // namespace smd::prof

@@ -1,6 +1,7 @@
 #include "src/prof/parallel.h"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "src/util/table.h"
 
@@ -25,6 +26,27 @@ double ParallelTaxonomy::serialization_fraction() const {
 }
 double ParallelTaxonomy::imbalance_fraction() const {
   return fraction(imbalance_ns, total_node_ns);
+}
+
+net::ScalingWorkload scaling_workload(const core::Problem& problem,
+                                      const core::VariantResult& variable) {
+  if (variable.n_real_interactions == 0) {
+    throw std::invalid_argument(
+        "cannot calibrate the multi-node model: the " +
+        std::to_string(problem.system.n_molecules()) +
+        "-molecule box has no interaction pairs within the cutoff");
+  }
+  net::ScalingWorkload w;
+  w.n_molecules = problem.system.n_molecules();
+  w.cutoff = problem.setup.cutoff;
+  w.flops_per_interaction = problem.flops_per_interaction;
+  w.words_per_interaction = static_cast<double>(variable.mem_refs) /
+                            static_cast<double>(variable.n_real_interactions);
+  w.cycles_per_interaction =
+      static_cast<double>(variable.run.cycles) /
+      static_cast<double>(variable.n_real_interactions);
+  w.seed = problem.setup.seed;
+  return w;
 }
 
 ParallelTaxonomy attribute_parallel(const net::StepBreakdown& b) {

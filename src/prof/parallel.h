@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "src/core/run.h"
+#include "src/net/multinode.h"
 #include "src/net/parallel.h"
 #include "src/obs/json.h"
 
@@ -52,6 +54,14 @@ struct ParallelTaxonomy {
   double serialization_fraction() const;
   double imbalance_fraction() const;
 };
+
+/// The multi-node workload of `problem`, calibrated from its simulated
+/// `variable` run (memory words and cycles per real interaction); the one
+/// calibration of `smdprof --scaling`, the baseline and
+/// bench_scaling_multinode. Throws std::invalid_argument when the run has
+/// no interaction pairs within the cutoff.
+net::ScalingWorkload scaling_workload(const core::Problem& problem,
+                                      const core::VariantResult& variable);
 
 /// Fold a per-node breakdown into the four-bucket taxonomy.
 ParallelTaxonomy attribute_parallel(const net::StepBreakdown& b);

@@ -45,15 +45,14 @@ void Timeline::add(Lane lane, std::uint64_t start, std::uint64_t end,
   intervals_.push_back({start, end, lane, std::move(label), track});
 }
 
-std::vector<Span> Timeline::merged(Lane lane, std::uint64_t horizon) const {
-  std::vector<Span> spans;
-  for (const auto& iv : intervals_) {
-    // Zero-length intervals are markers: kept in intervals(), excluded from
-    // every occupancy quantity. Clipping an interval that crosses the
-    // horizon can also produce an empty span (start == horizon).
-    if (iv.lane != lane || iv.start >= horizon || iv.end <= iv.start) continue;
-    spans.emplace_back(iv.start, std::min(iv.end, horizon));
-  }
+std::vector<Span> merge_spans(std::vector<Span> spans, std::uint64_t horizon) {
+  // Zero-length spans (a timeline's markers) cover nothing. Clipping a
+  // span that crosses the horizon can also leave one empty (start ==
+  // horizon).
+  std::erase_if(spans, [horizon](const Span& s) {
+    return s.first >= horizon || s.second <= s.first;
+  });
+  for (auto& s : spans) s.second = std::min(s.second, horizon);
   std::sort(spans.begin(), spans.end());
   std::vector<Span> out;
   for (const auto& s : spans) {
@@ -64,6 +63,14 @@ std::vector<Span> Timeline::merged(Lane lane, std::uint64_t horizon) const {
     }
   }
   return out;
+}
+
+std::vector<Span> Timeline::merged(Lane lane, std::uint64_t horizon) const {
+  std::vector<Span> spans;
+  for (const auto& iv : intervals_) {
+    if (iv.lane == lane) spans.emplace_back(iv.start, iv.end);
+  }
+  return merge_spans(std::move(spans), horizon);
 }
 
 std::uint64_t Timeline::busy_cycles(Lane lane, std::uint64_t horizon) const {

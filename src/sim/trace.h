@@ -40,6 +40,13 @@ struct Interval {
 /// Every field (lane as its integer value), for the bit-identity gates.
 obs::Json to_json(const Interval& iv);
 
+/// Sorted, disjoint spans covering `spans` ([start, end) pairs) clipped to
+/// [0, horizon); empty and inverted spans are dropped. The one interval
+/// merge behind Timeline::merged and the profiler's span lists (src/prof).
+std::vector<std::pair<std::uint64_t, std::uint64_t>> merge_spans(
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> spans,
+    std::uint64_t horizon);
+
 class Timeline {
  public:
   /// Record one interval. Zero-length intervals (start == end) are kept --

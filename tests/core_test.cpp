@@ -356,6 +356,25 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, EndToEnd,
                                            Variant::kVariable,
                                            Variant::kDuplicated));
 
+TEST(EndToEnd, BoxWithoutPairsReadsZeroRatesNotNan) {
+  // One molecule has no neighbour within the cutoff: the run simulates 0
+  // cycles and moves 0 words, and every rate over them reads 0.
+  ExperimentSetup setup;
+  setup.n_molecules = 1;
+  const Problem p = Problem::make(setup);
+  for (const Variant v : kAllVariants) {
+    const VariantResult r = run_variant(p, v);
+    EXPECT_EQ(r.n_real_interactions, 0) << variant_name(v);
+    for (const double x :
+         {r.time_ms, r.solution_gflops, r.all_gflops, r.ai_calculated,
+          r.ai_measured, r.lrf_fraction, r.srf_fraction, r.mem_fraction,
+          r.kernel_cycles_per_iteration, r.kernel_issue_rate,
+          r.max_force_rel_err}) {
+      EXPECT_TRUE(std::isfinite(x)) << variant_name(v);
+    }
+  }
+}
+
 TEST(EndToEnd, LocalityDominatedByLrf) {
   // Figure 8: ~90%+ of references hit the LRF in every variant.
   const Problem& p = small_problem();

@@ -3,7 +3,10 @@
 // benchmark-regression baseline harness.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/run.h"
 #include "src/net/multinode.h"
@@ -242,158 +245,131 @@ core::VariantResult small_result(core::Variant v, double cycles) {
   return r;
 }
 
-TEST(Baseline, RoundTripsThroughJson) {
-  const core::ExperimentSetup setup;
-  const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-  const Baseline b = Baseline::capture(
-      {small_result(core::Variant::kFixed, 1e5)}, setup, cfg);
-  const Baseline back = Baseline::from_json(obs::Json::parse(b.to_json().dump(2)));
-  EXPECT_EQ(back.schema_version, kBaselineSchemaVersion);
-  EXPECT_EQ(back.n_molecules, setup.n_molecules);
-  EXPECT_EQ(back.seed, setup.seed);
-  ASSERT_EQ(back.variants.size(), 1u);
-  EXPECT_EQ(back.variants[0].variant, "fixed");
-  EXPECT_EQ(back.variants[0].metrics.size(), b.variants[0].metrics.size());
-  // Ordered identically -- the file is diffable.
-  for (std::size_t i = 0; i < back.variants[0].metrics.size(); ++i) {
-    EXPECT_EQ(back.variants[0].metrics[i].name,
-              b.variants[0].metrics[i].name);
+/// A baseline document of two hand-made variant results and two scaling
+/// points, p=1 and p=8.
+obs::Json small_capture() {
+  const net::ScalingModel model(net::ScalingWorkload{}, net::NetworkConfig{});
+  return capture_baseline({small_result(core::Variant::kFixed, 1e5),
+                           small_result(core::Variant::kVariable, 8e4)},
+                          core::ExperimentSetup{},
+                          sim::MachineConfig::merrimac(),
+                          {model.breakdown(1), model.breakdown(8)});
+}
+
+/// `doc` with `metric` of entry `index` of `section` set to `value`.
+obs::Json with_metric(const obs::Json& doc, const std::string& section,
+                      std::size_t index, const std::string& metric,
+                      obs::Json value) {
+  obs::Json entries = obs::Json::array();
+  for (std::size_t i = 0; i < doc.at(section).size(); ++i) {
+    obs::Json entry = doc.at(section).at(i);
+    if (i == index) {
+      obs::Json metrics = entry.at("metrics");
+      metrics.set(metric, std::move(value));
+      entry.set("metrics", std::move(metrics));
+    }
+    entries.push_back(std::move(entry));
   }
+  obs::Json out = doc;
+  out.set(section, std::move(entries));
+  return out;
+}
+
+/// Write `doc` to a temporary file and load it back as a baseline.
+obs::Json write_and_load(const obs::Json& doc, const std::string& name) {
+  const std::string path = testing::TempDir() + name;
+  obs::write_file(doc, path);
+  obs::Json loaded;
+  try {
+    loaded = load_baseline(path);
+  } catch (...) {
+    std::remove(path.c_str());
+    throw;
+  }
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(Baseline, FileRoundTripDiffsEmpty) {
+  const obs::Json doc = small_capture();
+  EXPECT_EQ(doc.at("schema_version").as_int(), kBaselineSchemaVersion);
+  EXPECT_FALSE(doc.contains("bench_schema_version"));
+  ASSERT_EQ(doc.at("variants").size(), 2u);
+  EXPECT_EQ(doc.at("variants").at(0).at("metrics").size(), 19u);
+  const obs::Json loaded = write_and_load(doc, "prof_baseline_roundtrip.json");
+  EXPECT_EQ(diff_baseline(loaded, doc), "");
+  // The file keeps the capture's key order, so it diffs line by line.
+  EXPECT_EQ(loaded.dump(2), doc.dump(2));
 }
 
 TEST(Baseline, RejectsUnknownSchemaVersion) {
-  const core::ExperimentSetup setup;
-  obs::Json j = Baseline::capture({}, setup, sim::MachineConfig::merrimac())
-                    .to_json();
-  j.set("schema_version", kBaselineSchemaVersion + 1);
-  EXPECT_THROW(Baseline::from_json(j), std::runtime_error);
+  obs::Json doc = small_capture();
+  doc.set("schema_version", kBaselineSchemaVersion + 1);
+  EXPECT_THROW(write_and_load(doc, "prof_baseline_v4.json"),
+               std::runtime_error);
 }
 
-TEST(Baseline, IdenticalCapturesCompareClean) {
-  const core::ExperimentSetup setup;
-  const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-  const auto results = {small_result(core::Variant::kFixed, 1e5),
-                        small_result(core::Variant::kVariable, 8e4)};
-  const Baseline a = Baseline::capture(results, setup, cfg);
-  const Baseline b = Baseline::capture(results, setup, cfg);
-  const CompareReport rep = compare(a, b);
-  EXPECT_TRUE(rep.ok());
-  EXPECT_TRUE(rep.regressions().empty());
-  EXPECT_FALSE(rep.deltas.empty());
-}
-
-TEST(Baseline, CycleRegressionBeyondToleranceFails) {
-  const core::ExperimentSetup setup;
-  const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-  const Baseline base = Baseline::capture(
-      {small_result(core::Variant::kFixed, 1e5)}, setup, cfg);
-  // 10% more cycles: beyond the 5% tolerance on `cycles` and `time_ms`.
-  const Baseline worse = Baseline::capture(
-      {small_result(core::Variant::kFixed, 1.1e5)}, setup, cfg);
-  const CompareReport rep = compare(base, worse);
-  EXPECT_FALSE(rep.ok());
-  bool cycles_flagged = false;
-  for (const auto& d : rep.regressions()) {
-    if (d.metric == "cycles") cycles_flagged = true;
+TEST(Baseline, RejectsSchemaV2NamingTheVersion) {
+  obs::Json doc = small_capture();
+  doc.set("schema_version", 2);
+  try {
+    write_and_load(doc, "prof_baseline_v2.json");
+    FAIL() << "a schema-v2 file loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("schema_version 2"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("scripts/bench_baseline.sh"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_TRUE(cycles_flagged);
-  // The mirror comparison is an improvement, which must NOT fail.
-  const CompareReport mirror = compare(worse, base);
-  EXPECT_TRUE(mirror.ok());
-  EXPECT_FALSE(mirror.improvements().empty());
 }
 
-TEST(Baseline, SmallStallBucketJitterToleratedViaAbsFloor) {
-  const MetricPolicy pol = policy_for("sdr_stall_cycles");
-  EXPECT_GT(pol.abs_floor, 0.0);
-  // 0 -> 50 stall cycles is inside the absolute floor: no regression.
-  Baseline a, b;
-  a.variants.push_back({"fixed", {{"sdr_stall_cycles", 0.0}}});
-  b.variants.push_back({"fixed", {{"sdr_stall_cycles", 50.0}}});
-  EXPECT_TRUE(compare(a, b).ok());
-  // 0 -> 500 is past the floor: regression.
-  b.variants[0].metrics[0].value = 500.0;
-  EXPECT_FALSE(compare(a, b).ok());
+TEST(Baseline, OneMoreCycleFailsNamingThePath) {
+  const obs::Json file = small_capture();
+  EXPECT_EQ(diff_baseline(file, with_metric(file, "variants", 0, "cycles",
+                                            100001.0)),
+            "variants[0].metrics.cycles: 100000 vs 100001");
 }
 
-TEST(Baseline, MissingMetricOrVariantIsANoteAndFailsOk) {
-  Baseline base, cur;
-  base.variants.push_back({"fixed", {{"cycles", 100.0}, {"mem_words", 5.0}}});
-  cur.variants.push_back({"fixed", {{"cycles", 100.0}}});
-  const CompareReport rep = compare(base, cur);
-  EXPECT_FALSE(rep.ok());
-  ASSERT_EQ(rep.notes.size(), 1u);
-  EXPECT_NE(rep.notes[0].find("mem_words"), std::string::npos);
-  // A metric only in `cur` is ignored (enters on the next refresh).
-  const CompareReport rev = compare(cur, base);
-  EXPECT_TRUE(rev.ok());
+TEST(Baseline, ImprovementFails) {
+  const obs::Json file = small_capture();
+  EXPECT_EQ(diff_baseline(file, with_metric(file, "variants", 0, "cycles",
+                                            99999.0)),
+            "variants[0].metrics.cycles: 100000 vs 99999");
 }
 
-TEST(Baseline, SetupMismatchIsANote) {
-  Baseline a, b;
-  a.n_molecules = 900;
-  b.n_molecules = 256;
-  EXPECT_FALSE(compare(a, b).ok());
+TEST(Baseline, MetricOnlyInTheNewCaptureFails) {
+  const obs::Json file = small_capture();
+  const obs::Json now = with_metric(file, "variants", 1, "new_metric", 1.0);
+  EXPECT_EQ(diff_baseline(file, now),
+            "variants[1].metrics.new_metric: missing vs 1");
+  // A setup change shows the same way.
+  obs::Json setup = file.at("setup");
+  setup.set("n_molecules", 256);
+  obs::Json other = file;
+  other.set("setup", std::move(setup));
+  EXPECT_EQ(diff_baseline(file, other), "setup.n_molecules: 900 vs 256");
 }
 
-TEST(Baseline, ScalingSectionRoundTripsThroughJson) {
-  const net::ScalingModel model(net::ScalingWorkload{}, net::NetworkConfig{});
-  Baseline b = Baseline::capture({}, core::ExperimentSetup{},
-                                 sim::MachineConfig::merrimac());
-  b.capture_scaling({model.breakdown(1), model.breakdown(8)});
-  ASSERT_EQ(b.scaling.size(), 2u);
-  EXPECT_EQ(b.scaling[1].variant, "p=8");
-  const Baseline back =
-      Baseline::from_json(obs::Json::parse(b.to_json().dump(2)));
-  ASSERT_EQ(back.scaling.size(), 2u);
-  EXPECT_EQ(back.scaling[0].variant, "p=1");
-  EXPECT_EQ(back.scaling[1].metrics.size(), b.scaling[1].metrics.size());
-  EXPECT_TRUE(compare(b, back).ok());
+TEST(Baseline, ScalingStepChangeFails) {
+  const obs::Json file = small_capture();
+  const obs::Json& p8 = file.at("scaling").at(1);
+  ASSERT_EQ(p8.at("variant").as_string(), "p=8");
+  const double step = p8.at("metrics").at("step_ns").as_double();
+  const obs::Json now =
+      with_metric(file, "scaling", 1, "step_ns", step + 1.0);
+  const std::string d = diff_baseline(file, now);
+  EXPECT_EQ(d.rfind("scaling[1].metrics.step_ns: ", 0), 0u) << d;
 }
 
-TEST(Baseline, SchemaV1FilesStillLoadWithEmptyScaling) {
-  Baseline b = Baseline::capture({small_result(core::Variant::kFixed, 1e5)},
-                                 core::ExperimentSetup{},
-                                 sim::MachineConfig::merrimac());
-  obs::Json j = b.to_json();
-  j.set("schema_version", 1);
-  // A v1 writer would not have emitted the key at all; dropping it via a
-  // fresh object without "scaling" exercises the same path as find()
-  // returning null.
-  obs::Json v1 = obs::Json::object();
-  for (const auto& [key, value] : j.items()) {
-    if (key != "scaling") v1.set(key, value);
-  }
-  const Baseline back = Baseline::from_json(v1);
-  EXPECT_EQ(back.schema_version, 1);
-  EXPECT_TRUE(back.scaling.empty());
-  ASSERT_EQ(back.variants.size(), 1u);
-}
-
-TEST(Baseline, ScalingRegressionFailsTheGate) {
-  const net::ScalingModel model(net::ScalingWorkload{}, net::NetworkConfig{});
-  Baseline base, cur;
-  base.capture_scaling({model.breakdown(8)});
-  cur.capture_scaling({model.breakdown(8)});
-  EXPECT_TRUE(compare(base, cur).ok());
-  // A 10% longer step is past the 5% step_ns tolerance.
-  for (auto& m : cur.scaling[0].metrics) {
-    if (m.name == "step_ns") m.value *= 1.10;
-  }
-  const CompareReport rep = compare(base, cur);
-  EXPECT_FALSE(rep.ok());
-  bool step_flagged = false;
-  for (const auto& d : rep.regressions()) {
-    if (d.variant == "p=8" && d.metric == "step_ns") step_flagged = true;
-  }
-  EXPECT_TRUE(step_flagged);
-  // Losing parallel efficiency (higher-is-better) also gates.
-  Baseline slow;
-  slow.capture_scaling({model.breakdown(8)});
-  for (auto& m : slow.scaling[0].metrics) {
-    if (m.name == "parallel_efficiency") m.value *= 0.9;
-  }
-  EXPECT_FALSE(compare(base, slow).ok());
+TEST(Baseline, NonFiniteMetricComparesAsTheNullTheFileHolds) {
+  const obs::Json doc = with_metric(small_capture(), "variants", 0,
+                                    "solution_gflops", std::nan(""));
+  const obs::Json loaded = write_and_load(doc, "prof_baseline_nan.json");
+  EXPECT_TRUE(loaded.at("variants").at(0).at("metrics")
+                  .at("solution_gflops").is_null());
+  EXPECT_EQ(diff_baseline(loaded, doc), "");
 }
 
 // ---- End-to-end on a small simulated run. ---------------------------------
@@ -417,13 +393,23 @@ TEST(ProfIntegration, SmallRunAttributesExhaustivelyAndRoundTrips) {
     EXPECT_GE(w.wasted_flops, 0.0) << r.name;
     EXPECT_GT(w.useful_flops, 0.0) << r.name;
   }
-  const Baseline base = Baseline::capture(results, setup, cfg);
-  const std::string path = testing::TempDir() + "prof_baseline_test.json";
-  base.write(path);
-  const Baseline loaded = Baseline::load(path);
-  const CompareReport rep = compare(loaded, base);
-  EXPECT_TRUE(rep.ok()) << format_compare(rep);
-  std::remove(path.c_str());
+  ASSERT_EQ(results[2].variant, core::Variant::kVariable);
+  const net::ScalingModel model(scaling_workload(problem, results[2]),
+                                net::NetworkConfig{});
+  const obs::Json base =
+      capture_baseline(results, setup, cfg, {model.breakdown(4)});
+  const obs::Json loaded = write_and_load(base, "prof_baseline_test.json");
+  EXPECT_EQ(diff_baseline(loaded, base), "");
+}
+
+TEST(ProfIntegration, ScalingCalibrationRejectsARunWithoutPairs) {
+  core::ExperimentSetup setup;
+  setup.n_molecules = 1;
+  const core::Problem problem = core::Problem::make(setup);
+  const core::VariantResult variable =
+      core::run_variant(problem, core::Variant::kVariable);
+  ASSERT_EQ(variable.n_real_interactions, 0);
+  EXPECT_THROW(scaling_workload(problem, variable), std::invalid_argument);
 }
 
 }  // namespace

@@ -470,6 +470,22 @@ TEST(Server, PayloadMatchesDirectSingleThreadedRun) {
   EXPECT_EQ(r.served_by, "sim");
 }
 
+TEST(Server, BoxWithoutPairsIsServedZeroRatesNotNull) {
+  // One molecule has no neighbour within the cutoff: the run simulates 0
+  // cycles, and its rates read 0 instead of a non-finite value the payload
+  // would carry as null.
+  ServerOptions opts;
+  opts.workers = 1;
+  Server server(opts);
+  Request req = small_request("one");
+  req.n_molecules = 1;
+  const Response r = server.submit(req).wait();
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_NE(r.payload.find("\"solution_gflops\":0"), std::string::npos)
+      << r.payload;
+  EXPECT_EQ(r.payload.find("null"), std::string::npos) << r.payload;
+}
+
 TEST(Server, DuplicatesSimulateExactlyOnce) {
   CounterProbe probe;
   ServerOptions opts;
