@@ -494,6 +494,65 @@ TEST(CheckStream, ConcurrentOverlappingPlainStoresAreSP011) {
   EXPECT_NE(g->message.find("104"), std::string::npos) << g->message;
 }
 
+/// Two plain scatters of 2-word records from base 100 with no dependence
+/// between them: the first targets `a`, the second `b`.
+sim::StreamProgram unordered_scatters(std::vector<std::uint64_t> a,
+                                      std::vector<std::uint64_t> b) {
+  sim::StreamProgram prog;
+  const sim::StreamId sa = prog.new_stream(16);
+  const sim::StreamId sb = prog.new_stream(16);
+  prog.load(strided(mem::MemOpKind::kLoadStrided, 0, 8), sa);
+  prog.load(strided(mem::MemOpKind::kLoadStrided, 16, 8), sb);
+  mem::MemOpDesc da = strided(mem::MemOpKind::kStoreScatter, 100, 4, 2);
+  da.indices = std::move(a);
+  mem::MemOpDesc db = strided(mem::MemOpKind::kStoreScatter, 100, 4, 2);
+  db.indices = std::move(b);
+  prog.store(da, sa);
+  prog.store(db, sb);
+  return prog;
+}
+
+TEST(CheckStream, InterleavedScattersWithOverlappingBoundsAreNotSP011) {
+  // Words [100, 114) and [102, 116): the bounds overlap, the records
+  // interleave, and no word is written by both.
+  const Diagnostics d =
+      analysis::check_stream_program(unordered_scatters({0, 2, 4, 6},
+                                                        {1, 3, 5, 7}));
+  EXPECT_EQ(d.find("SP011"), nullptr) << d.format();
+  EXPECT_EQ(d.errors(), 0) << d.format();
+}
+
+TEST(CheckStream, InterleavedScattersSharingOneRecordAreSP011) {
+  const Diagnostics d =
+      analysis::check_stream_program(unordered_scatters({6, 0, 4, 2},
+                                                        {7, 3, 4, 1}));
+  const Diagnostic* g = expect_diag(d, "SP011");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->loc.index, 3);
+  EXPECT_EQ(g->message,
+            "potentially concurrent scatter (op 2) and scatter (op 3) both "
+            "write word address 108 outside the scatter-add combining "
+            "guarantee");
+}
+
+TEST(CheckStream, GatherWrappingPastTwoToThe64IsSP008) {
+  // Records 2 and 3 start past 2^64 and wrap to words 0 and 2.
+  sim::StreamProgram prog;
+  const sim::StreamId s = prog.new_stream(16);
+  mem::MemOpDesc gather =
+      strided(mem::MemOpKind::kLoadGather, ~std::uint64_t{0} - 3, 4, 2);
+  gather.indices = {0, 1, 2, 3};
+  prog.load(gather, s);
+  analysis::StreamCheckOptions opts;
+  opts.memory_words = 64;
+  const Diagnostics d = analysis::check_stream_program(prog, opts);
+  const Diagnostic* g = expect_diag(d, "SP008");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->message,
+            "gather touches word address 18446744073709551613, beyond the "
+            "memory extent of 64 words");
+}
+
 TEST(CheckStream, ConcurrentScatterAddsAreExemptFromSP011) {
   // Same shape as above but both stores combine in the scatter-add units:
   // the paper's Section 4 guarantee makes the collision safe.

@@ -659,15 +659,17 @@ TEST(MemSystem, TickUntilStopsAtFirstCompletion) {
 /// Runs soup `seed` to cycle `end`, issuing every op at exactly its cycle,
 /// either tick() by tick() or in tick_until strides that stop at the next
 /// issue cycle. Each early return of tick_until is checked against the
-/// contract: some op completed in the cycle it returned at.
+/// contract: some op completed in the cycle it returned at. A positive
+/// `n_banks` replaces the soup's bank count.
 struct SoupRun {
   obs::Json record;
   std::vector<std::vector<double>> loaded;
   GlobalMemory memory;
 };
 
-SoupRun run_soup(int seed, bool strided, std::uint64_t end) {
+SoupRun run_soup(int seed, bool strided, std::uint64_t end, int n_banks = 0) {
   soup::Soup s = soup::make(seed);
+  if (n_banks > 0) s.cfg.cache.n_banks = n_banks;
   SoupRun out;
   out.loaded.resize(s.ops.size());
   MemSystem ms(s.cfg, &s.memory);
@@ -721,6 +723,21 @@ TEST(MemSystem, TickUntilMatchesTickOnOpSoups) {
   for (int seed = 0; seed < 50; ++seed) {
     const SoupRun stepped = run_soup(seed, false, kEnd);
     const SoupRun strided = run_soup(seed, true, kEnd);
+    EXPECT_EQ(obs::diff(stepped.record, strided.record), "") << "soup " << seed;
+    EXPECT_EQ(stepped.loaded, strided.loaded) << "soup " << seed;
+    EXPECT_EQ(diff_memory(stepped.memory, strided.memory), "")
+        << "soup " << seed;
+  }
+}
+
+TEST(MemSystem, TickUntilMatchesTickOnOpSoupsWithMoreBanksThanOneWord) {
+  // 130 banks: more than one 64-bit word of per-bank state, the last word
+  // partly used.
+  constexpr std::uint64_t kEnd = 50'000;
+  constexpr int kBanks = 130;
+  for (int seed = 0; seed < 50; ++seed) {
+    const SoupRun stepped = run_soup(seed, false, kEnd, kBanks);
+    const SoupRun strided = run_soup(seed, true, kEnd, kBanks);
     EXPECT_EQ(obs::diff(stepped.record, strided.record), "") << "soup " << seed;
     EXPECT_EQ(stepped.loaded, strided.loaded) << "soup " << seed;
     EXPECT_EQ(diff_memory(stepped.memory, strided.memory), "")

@@ -10,15 +10,18 @@
 //       and the memory image by bit pattern, for the four Table-3 variants
 //       x both SDR policies at the baseline setup, and the four variants
 //       again on a 6-bank cache with 12-word lines (the non-power-of-two
-//       geometry path);
+//       geometry path), and at 256 molecules on a 128-bank cache (the
+//       geometry of cache_gbps=1024: more banks than one 64-bit word);
 //   (b) 50 seeded MemSystem op soups over tiny queues, MSHRs, combining
 //       stores, DRAM read queues and write buffers, so every back-pressure
 //       path and dirty eviction runs: per-op finish times, the four stats
-//       records and the memory image.
+//       records and the memory image; and the same soups again on a
+//       direct-mapped cache of 6 banks x 12-word lines.
 // A mismatch means simulated results moved; the failing run's record is
 // printed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -87,6 +90,30 @@ constexpr std::array<VariantCase, 12> kVariantGolden = {{
      0xac538d9116db39b5ULL},
 }};
 
+/// Digest of one variant's run on `cfg`: the gated run record and the
+/// memory image. `record` receives the full run record for a failure.
+std::uint64_t variant_digest(const core::Problem& problem, core::Variant variant,
+                             const sim::MachineConfig& cfg,
+                             std::string* record) {
+  const core::VariantLayout layout =
+      core::build_layout(variant, problem.system, problem.half_list,
+                         core::layout_options(problem.setup, cfg));
+  const kernel::KernelDef kdef =
+      core::build_water_kernel(variant, problem.system.model());
+  sim::Machine machine(cfg);
+  const core::ProblemImage image =
+      core::upload_system(machine.memory(), problem.system);
+  const sim::StreamProgram program =
+      core::build_program(machine.memory(), image, layout, kdef);
+  const sim::RunStats run = machine.run(program);
+  *record = sim::to_json(run).dump(2);
+
+  Fnv1a h;
+  h.str(sim::gated_json(run).dump());
+  hash_memory(h, machine.memory());
+  return h.value();
+}
+
 TEST(MemsysGolden, StreamMdVariantsMatchRecordedDigests) {
   const core::Problem problem = core::Problem::make(core::ExperimentSetup{});
   for (const VariantCase& c : kVariantGolden) {
@@ -96,28 +123,39 @@ TEST(MemsysGolden, StreamMdVariantsMatchRecordedDigests) {
       cfg.mem.cache.n_banks = 6;
       cfg.mem.cache.line_words = 12;
     }
-    const core::VariantLayout layout =
-        core::build_layout(c.variant, problem.system, problem.half_list,
-                           core::layout_options(problem.setup, cfg));
-    const kernel::KernelDef kdef =
-        core::build_water_kernel(c.variant, problem.system.model());
-    sim::Machine machine(cfg);
-    const core::ProblemImage image =
-        core::upload_system(machine.memory(), problem.system);
-    const sim::StreamProgram program =
-        core::build_program(machine.memory(), image, layout, kdef);
-    const sim::RunStats run = machine.run(program);
-
-    Fnv1a h;
-    h.str(sim::gated_json(run).dump());
-    hash_memory(h, machine.memory());
-    EXPECT_EQ(hex(h.value()), hex(c.digest))
+    std::string record;
+    const std::uint64_t got = variant_digest(problem, c.variant, cfg, &record);
+    EXPECT_EQ(hex(got), hex(c.digest))
         << core::variant_name(c.variant) << " / "
         << (c.policy == sim::SdrPolicy::kConservative ? "conservative"
                                                       : "transfer-scoped")
         << (c.odd_geometry ? " / 6 banks x 12-word lines" : "")
         << " moved; run record:\n"
-        << sim::to_json(run).dump(2);
+        << record;
+  }
+}
+
+/// The four variants in kAllVariants order at 256 molecules on a 128-bank
+/// cache, the bank count tune::Candidate derives from cache_gbps=1024.
+constexpr std::array<std::uint64_t, 4> kWideCacheGolden = {{
+    0x701e6c7e34da0cb9ULL, 0xfda893134fca5225ULL,
+    0xbff6c92e92f3addbULL, 0x598a8176e03f0deeULL,
+}};
+
+TEST(MemsysGolden, WideCacheVariantsMatchRecordedDigests) {
+  core::ExperimentSetup setup;
+  setup.n_molecules = 256;
+  const core::Problem problem = core::Problem::make(setup);
+  sim::MachineConfig cfg = sim::MachineConfig::merrimac();
+  cfg.mem.cache.n_banks = 128;
+  for (std::size_t v = 0; v < core::kAllVariants.size(); ++v) {
+    std::string record;
+    const std::uint64_t got =
+        variant_digest(problem, core::kAllVariants[v], cfg, &record);
+    EXPECT_EQ(hex(got), hex(kWideCacheGolden[v]))
+        << core::variant_name(core::kAllVariants[v])
+        << " / 128 banks moved; run record:\n"
+        << record;
   }
 }
 
@@ -127,8 +165,12 @@ TEST(MemsysGolden, StreamMdVariantsMatchRecordedDigests) {
 
 constexpr int kSoups = 50;
 
-std::uint64_t soup_digest(int seed, std::string* record) {
+/// Digest of soup `seed`, run tick() by tick(); `reshape`, when set,
+/// changes the soup's memory-system configuration first.
+std::uint64_t soup_digest(int seed, void (*reshape)(mem::MemSystemConfig&),
+                          std::string* record) {
   mem::soup::Soup soup = mem::soup::make(seed);
+  if (reshape != nullptr) reshape(soup.cfg);
   const std::vector<mem::soup::Op>& ops = soup.ops;
   mem::GlobalMemory& memory = soup.memory;
 
@@ -194,9 +236,52 @@ constexpr std::array<std::uint64_t, kSoups> kSoupGolden = {{
 TEST(MemsysGolden, OpSoupsMatchRecordedDigests) {
   for (int seed = 0; seed < kSoups; ++seed) {
     std::string record;
-    const std::uint64_t got = soup_digest(seed, &record);
+    const std::uint64_t got = soup_digest(seed, nullptr, &record);
     EXPECT_EQ(hex(got), hex(kSoupGolden[static_cast<std::size_t>(seed)]))
         << "soup " << seed << " moved; record:\n"
+        << record;
+  }
+}
+
+/// A direct-mapped cache of 6 banks x 12-word lines and 12 sets: every
+/// fill that meets a resident line evicts it, through the division path.
+/// A dirty writeback posts a whole line, so the write buffer holds one.
+void direct_mapped(mem::MemSystemConfig& cfg) {
+  cfg.cache.n_banks = 6;
+  cfg.cache.line_words = 12;
+  cfg.cache.associativity = 1;
+  cfg.cache.total_words = 12 * 12;
+  cfg.dram.write_buffer_words =
+      std::max<std::int64_t>(cfg.dram.write_buffer_words, 12);
+}
+
+constexpr std::array<std::uint64_t, kSoups> kDirectMappedSoupGolden = {{
+    0xdb1068d7da4cdc60ULL, 0x6eb17527ca651f19ULL, 0xaa465e655e4a9d20ULL,
+    0xe6a9b7edc853910dULL, 0x8c68b453a859da20ULL, 0x5efe593c7c37f24aULL,
+    0x4ccbe5ebe62e92d5ULL, 0xf2f80b402a5684feULL, 0x5262a8011a844cecULL,
+    0x95c85d5d0c15cbf4ULL, 0x96f5dd370d1861c2ULL, 0x0bba8c8c1b1f8738ULL,
+    0x2196cc99b19c37ecULL, 0xcce1116c01b86db0ULL, 0x19382f61d78af0beULL,
+    0xf5a444c7a6e78385ULL, 0x7af20053d564c6deULL, 0x48f092dcb67e761fULL,
+    0x13dec505e79e7dc7ULL, 0xd612629d97c233abULL, 0xaa284f4856e6c88aULL,
+    0xc2ab2200ed480edfULL, 0xc9ed5f91f3407196ULL, 0x559254980a5fa1ffULL,
+    0xf474e92834b49893ULL, 0xe6f3b799a57e8364ULL, 0xb656de44c49e4de2ULL,
+    0x82cafbbb233ac982ULL, 0x1ae8b84162845823ULL, 0xa13f936810430329ULL,
+    0x23a11f67a9b116b0ULL, 0xcf49864e0545740bULL, 0x1bbade21e1f5ab1fULL,
+    0x1541d581ddb93df4ULL, 0x65acbce9afae7542ULL, 0x6db9375a87b96127ULL,
+    0x4a8843778b68b322ULL, 0xb85323b6b7ffd943ULL, 0xd1455d0d14e67197ULL,
+    0x1a1e7f4e5530e394ULL, 0x73cb0d378d0415c8ULL, 0x25e8429c858510eaULL,
+    0x0a67ee55d5e7f0ecULL, 0xb64ee382caf02f42ULL, 0x594c54ab58734d4bULL,
+    0x7078ea5181ea9024ULL, 0x8d31bdb51c61b508ULL, 0x4549b1414a33f8b6ULL,
+    0x68375892e2f50639ULL, 0x9ce295c145138068ULL,
+}};
+
+TEST(MemsysGolden, DirectMappedOpSoupsMatchRecordedDigests) {
+  for (int seed = 0; seed < kSoups; ++seed) {
+    std::string record;
+    const std::uint64_t got = soup_digest(seed, direct_mapped, &record);
+    EXPECT_EQ(hex(got),
+              hex(kDirectMappedSoupGolden[static_cast<std::size_t>(seed)]))
+        << "direct-mapped soup " << seed << " moved; record:\n"
         << record;
   }
 }
