@@ -8,6 +8,7 @@
 // quota and applies backpressure when downstream queues fill.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -73,6 +74,23 @@ class AddressGenerator {
   void advance() {
     if (done()) return;
     if (++word_in_record_ >= record_words_) {
+      word_in_record_ = 0;
+      ++record_;
+      load_record();
+    }
+  }
+
+  /// Words from peek() to the end of the current record: addresses
+  /// peek() .. peek() + n - 1 come next, in order. At least 1 while the
+  /// walk is not done (a record of no words still yields one address,
+  /// as advance() does).
+  int record_words_left() const {
+    return std::max(record_words_ - word_in_record_, 1);
+  }
+  /// advance() `n` times, 0 < n <= record_words_left().
+  void skip(int n) {
+    word_in_record_ += n;
+    if (word_in_record_ >= record_words_) {
       word_in_record_ = 0;
       ++record_;
       load_record();
