@@ -462,10 +462,12 @@ std::string diff(const Json& a, const Json& b) {
   return d.result();
 }
 
+std::string file_text(const Json& j) { return j.dump(2) + '\n'; }
+
 void write_file(const Json& j, const std::string& path) {
   std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  os << j.dump(2) << '\n';
+  os << file_text(j);
   if (!os) throw std::runtime_error("write failed: " + path);
 }
 
@@ -478,12 +480,14 @@ void write_file_atomic(const Json& j, const std::string& path) {
   }
 }
 
-Json load_file(const std::string& path) {
+std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw std::runtime_error("cannot open: " + path);
   std::ostringstream ss;
   ss << is.rdbuf();
-  return Json::parse(ss.str());
+  return ss.str();
 }
+
+Json load_file(const std::string& path) { return Json::parse(read_file(path)); }
 
 }  // namespace smd::obs

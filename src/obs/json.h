@@ -103,8 +103,12 @@ class Json {
 /// differ; integers are exact below 2^53).
 std::string diff(const Json& a, const Json& b);
 
-/// Write `j.dump(2)` plus a trailing newline to `path`; throws
-/// std::runtime_error if the file cannot be written.
+/// The bytes write_file writes for `j`: `j.dump(2)` plus a trailing
+/// newline.
+std::string file_text(const Json& j);
+
+/// Write file_text(j) to `path`; throws std::runtime_error if the file
+/// cannot be written.
 void write_file(const Json& j, const std::string& path);
 
 /// Crash-safe variant of write_file: writes to `path + ".tmp"` and
@@ -113,6 +117,9 @@ void write_file(const Json& j, const std::string& path);
 /// files that outlive the process (result caches, baselines). Throws
 /// std::runtime_error on I/O failure (the temp file is removed).
 void write_file_atomic(const Json& j, const std::string& path);
+
+/// Read a whole file; throws std::runtime_error if it cannot be opened.
+std::string read_file(const std::string& path);
 
 /// Read and parse a JSON file; throws on I/O or parse errors.
 Json load_file(const std::string& path);

@@ -1,5 +1,7 @@
 #include "src/prof/baseline.h"
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "src/core/kernels.h"
@@ -86,8 +88,10 @@ obs::Json capture_baseline(const std::vector<core::VariantResult>& results,
   return j;
 }
 
-obs::Json load_baseline(const std::string& path) {
-  obs::Json j = obs::load_file(path);
+obs::Json load_baseline(const std::string& path, std::string* text) {
+  std::string bytes = obs::read_file(path);
+  obs::Json j = obs::Json::parse(bytes);
+  if (text != nullptr) *text = std::move(bytes);
   const obs::Json* version = j.find("schema_version");
   if (version == nullptr || !version->is_number() ||
       version->as_double() != kBaselineSchemaVersion) {
@@ -102,6 +106,35 @@ obs::Json load_baseline(const std::string& path) {
 
 std::string diff_baseline(const obs::Json& file, const obs::Json& capture) {
   return obs::diff(file, obs::Json::parse(capture.dump(2)));
+}
+
+std::string diff_baseline_text(const std::string& file_text,
+                               const obs::Json& capture) {
+  const std::string want = obs::file_text(capture);
+  if (file_text == want) return "";
+  // The next line of `text` from `pos` (without its newline), or nullopt
+  // past the end.
+  const auto next_line = [](const std::string& text, std::size_t& pos)
+      -> std::optional<std::string> {
+    if (pos >= text.size()) return std::nullopt;
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    std::string line = text.substr(pos, end - pos);
+    pos = end + 1;
+    return line;
+  };
+  const auto shown = [](const std::optional<std::string>& line) {
+    return line ? "`" + *line + "`" : std::string("missing");
+  };
+  std::size_t a = 0, b = 0;
+  for (int n = 1;; ++n) {
+    const auto got = next_line(file_text, a);
+    const auto rec = next_line(want, b);
+    if (!got && !rec) return "end of file: no final newline";
+    if (got != rec) {
+      return "line " + std::to_string(n) + ": " + shown(got) + " vs " +
+             shown(rec);
+    }
+  }
 }
 
 }  // namespace smd::prof

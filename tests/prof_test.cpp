@@ -372,6 +372,51 @@ TEST(Baseline, NonFiniteMetricComparesAsTheNullTheFileHolds) {
   EXPECT_EQ(diff_baseline(loaded, doc), "");
 }
 
+TEST(Baseline, ByteCheckPassesWhatRecordingWrites) {
+  const obs::Json doc = small_capture();
+  const std::string path = testing::TempDir() + "prof_baseline_bytes.json";
+  obs::write_file(doc, path);
+  const std::string written = obs::read_file(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(written, obs::file_text(doc));
+  EXPECT_EQ(diff_baseline_text(written, doc), "");
+}
+
+TEST(Baseline, ReorderedKeysFailTheByteCheck) {
+  // The setup keys reversed: the same values, so diff_baseline passes, but
+  // re-recording would write other bytes.
+  const obs::Json doc = small_capture();
+  const auto& members = doc.at("setup").items();
+  ASSERT_GE(members.size(), 2u);
+  obs::Json reversed = obs::Json::object();
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    reversed.set(it->first, it->second);
+  }
+  obs::Json reordered = doc;
+  reordered.set("setup", std::move(reversed));
+  EXPECT_EQ(diff_baseline(reordered, doc), "");
+  const std::string d = diff_baseline_text(obs::file_text(reordered), doc);
+  EXPECT_EQ(d.rfind("line ", 0), 0u) << d;
+  EXPECT_NE(d.find(members.front().first), std::string::npos) << d;
+}
+
+TEST(Baseline, ReindentedFileFailsTheByteCheck) {
+  const obs::Json doc = small_capture();
+  EXPECT_EQ(diff_baseline_text(doc.dump(4) + "\n", doc).rfind("line 2: ", 0),
+            0u);
+  EXPECT_EQ(diff_baseline_text(doc.dump(2), doc),
+            "end of file: no final newline");
+}
+
+TEST(Baseline, CommittedFileIsWhatRecordingItsValuesWrites) {
+  // smdprof_baseline re-records the file from a fresh run; this half
+  // needs no run: the committed bytes are the recording of their values.
+  std::string text;
+  const obs::Json doc =
+      load_baseline(std::string(SMD_SOURCE_DIR) + "/BENCH_baseline.json", &text);
+  EXPECT_EQ(diff_baseline_text(text, doc), "");
+}
+
 // ---- End-to-end on a small simulated run. ---------------------------------
 
 TEST(ProfIntegration, SmallRunAttributesExhaustivelyAndRoundTrips) {
