@@ -100,5 +100,5 @@ int main(int argc, char** argv) {
                 "variant that feels address-generation and cache pressure.\n");
     jout.root().set("address_generation", std::move(rows));
   }
-  return 0;
+  return jout.finish(0);
 }

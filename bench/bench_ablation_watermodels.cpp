@@ -64,5 +64,5 @@ int main(int argc, char** argv) {
       "says favors Merrimac. (Expanded-style streams; bandwidth bound\n"
       "assumes 4 sustained words/cycle.)\n");
   jout.root().set("models", std::move(rows));
-  return 0;
+  return jout.finish(0);
 }

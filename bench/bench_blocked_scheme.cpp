@@ -106,5 +106,5 @@ int main(int argc, char** argv) {
       "   rather than pure spatial paving.\n");
   jout.root().set("calibration", core::to_json(variable));
   jout.root().set("cells", std::move(rows));
-  return 0;
+  return jout.finish(0);
 }

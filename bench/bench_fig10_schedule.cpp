@@ -65,5 +65,5 @@ int main(int argc, char** argv) {
   jout.root().set("after", schedule_json(after));
   jout.root().set("rate_improvement",
                   before.cycles_per_iteration() / after.cycles_per_iteration() - 1.0);
-  return 0;
+  return jout.finish(0);
 }

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
                        {"--sizes", "--molecules", "--json"}, {});
   benchio::JsonOut jout(argc, argv, kTool);
 
-  // Cluster sizes must be finite and above 0 (BlockingModel::at); checked
-  // before the calibration run.
+  // Cluster sizes must be finite and above 0 and give finite model values
+  // (BlockingModel::at); checked before the calibration run.
   std::vector<double> sizes;
   const std::string sizes_flag = benchio::flag_value(argc, argv, "sizes");
   try {
@@ -100,6 +100,7 @@ int main(int argc, char** argv) {
                              e.what() + ")",
                          kUsage);
   }
+  const core::BlockingModel uncalibrated{core::BlockingModelParams{}};
   for (const double x : sizes) {
     if (!(std::isfinite(x) && x > 0.0)) {
       char got[32];
@@ -107,6 +108,11 @@ int main(int argc, char** argv) {
       benchio::usage_error(
           kTool, std::string("--sizes: need a finite size above 0, got ") + got,
           kUsage);
+    }
+    try {
+      (void)uncalibrated.at(x);
+    } catch (const std::invalid_argument& e) {
+      benchio::usage_error(kTool, std::string("--sizes: ") + e.what(), kUsage);
     }
   }
 
@@ -136,21 +142,33 @@ int main(int argc, char** argv) {
       static_cast<double>(problem.half_list.n_pairs()) /
       static_cast<double>(problem.system.n_molecules());
 
-  std::printf("== Figures 11-12: blocking-scheme estimate ==\n\n");
-  show("(a) calibrated from the simulated run (cache-assisted gathers):",
-       core::BlockingModel(params), sizes);
-
   // (b) No stream cache: every gathered word pays DRAM random-access
   // bandwidth (~half of the 4.8 words/cycle peak).
   core::BlockingModelParams no_cache = params;
   no_cache.variable_memory_cycles =
       static_cast<double>(variable.mem_refs) / 2.4;
-  show("(b) gathers at DRAM random-access bandwidth (no cache):",
-       core::BlockingModel(no_cache), sizes);
-
   // (c) The paper's regime: memory time well above kernel time.
   core::BlockingModelParams paper_regime = params;
   paper_regime.variable_memory_cycles = 2.5 * params.variable_kernel_cycles;
+
+  // A size the pre-check passed can still overflow once the calibrated
+  // cycle counts scale it: check every regime before printing any.
+  for (const auto* regime : {&params, &no_cache, &paper_regime}) {
+    for (const double x : sizes) {
+      try {
+        (void)core::BlockingModel(*regime).at(x);
+      } catch (const std::invalid_argument& e) {
+        benchio::usage_error(kTool, std::string("--sizes: ") + e.what(),
+                             kUsage);
+      }
+    }
+  }
+
+  std::printf("== Figures 11-12: blocking-scheme estimate ==\n\n");
+  show("(a) calibrated from the simulated run (cache-assisted gathers):",
+       core::BlockingModel(params), sizes);
+  show("(b) gathers at DRAM random-access bandwidth (no cache):",
+       core::BlockingModel(no_cache), sizes);
   show("(c) paper regime (memory-bound 2.5x):",
        core::BlockingModel(paper_regime), sizes);
 
@@ -165,5 +183,5 @@ int main(int argc, char** argv) {
   jout.root().set("no_cache", regime_json(core::BlockingModel(no_cache), sizes));
   jout.root().set("paper_regime",
                   regime_json(core::BlockingModel(paper_regime), sizes));
-  return 0;
+  return jout.finish(0);
 }

@@ -172,5 +172,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "timeline/RunStats cross-check FAILED\n");
     return 1;
   }
-  return 0;
+  return jout.finish(0);
 }

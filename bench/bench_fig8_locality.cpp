@@ -32,5 +32,5 @@ int main(int argc, char** argv) {
   }
   std::printf("(L = LRF, s = SRF, . = memory)\n");
   jout.set_record(core::bench_record("bench_fig8_locality", cfg, results));
-  return 0;
+  return jout.finish(0);
 }

@@ -84,5 +84,5 @@ int main(int argc, char** argv) {
       .set("optimal_solution_gflops", optimal)
       .set("peak_gflops", cfg.peak_gflops());
   jout.root().set("baselines", std::move(baselines));
-  return 0;
+  return jout.finish(0);
 }

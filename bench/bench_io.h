@@ -2,9 +2,11 @@
 // binary but bench_native_kernels (which hands its flags to
 // google-benchmark) first validates argv with check_flags -- an unknown
 // flag or a stray argument exits 2 -- then constructs a JsonOut, fills
-// its record with the numbers it prints, and the record is written on
-// scope exit -- so a run with `--json out.json` leaves a diffable
-// BENCH_*.json artifact next to the human-readable table output.
+// its record with the numbers it prints, and ends main with
+// `return jout.finish(status)`, which writes the record only for a run
+// that completes with status 0 -- so a run with `--json out.json` leaves
+// a diffable BENCH_*.json artifact next to the human-readable table
+// output, and a run that fails leaves none.
 #pragma once
 
 #include <cstdio>
@@ -300,9 +302,10 @@ inline std::string output_path_or_exit(int argc, char** argv,
   return path;
 }
 
-/// The `--json <path>` record of a binary, written on scope exit. The
-/// constructor checks that the path can be written and exits 1 if not, so
-/// an unwritable path fails before any work instead of after it.
+/// The `--json <path>` record of a binary, written by finish() when the
+/// run completes. The constructor checks that the path can be written and
+/// exits 1 if not, so an unwritable path fails before any work instead of
+/// after it.
 class JsonOut {
  public:
   JsonOut(int argc, char** argv, std::string bench_name)
@@ -326,14 +329,20 @@ class JsonOut {
     root_ = std::move(record);
   }
 
-  ~JsonOut() {
-    if (path_.empty()) return;
+  /// The run's last step, `return jout.finish(status);`: with status 0
+  /// the record is written (and named on stdout); any other status, like
+  /// every exit that never reaches this call, leaves no file. Returns the
+  /// exit status: `status`, or 1 when the write fails.
+  int finish(int status) {
+    if (status != 0 || path_.empty()) return status;
     try {
       obs::write_file(root_, path_);
-      std::printf("json record written to %s\n", path_.c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "failed to write %s: %s\n", path_.c_str(), e.what());
+      return 1;
     }
+    std::printf("json record written to %s\n", path_.c_str());
+    return 0;
   }
 
  private:

@@ -112,5 +112,5 @@ int main(int argc, char** argv) {
       "Aggregate bandwidth across concurrent ops can reach the 38.4 GB/s\n"
       "DRAM peak (both generators, all banks).\n");
   jout.root().set("patterns", std::move(patterns));
-  return 0;
+  return jout.finish(0);
 }

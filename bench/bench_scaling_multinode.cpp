@@ -146,5 +146,5 @@ int main(int argc, char** argv) {
     std::printf("per-node trace written to %s (%zu slices)\n",
                 trace_path.c_str(), sink.size());
   }
-  return 0;
+  return jout.finish(0);
 }

@@ -82,5 +82,5 @@ int main(int argc, char** argv) {
   std::printf("bursty same-row updates combine in the 8-entry combining store;\n"
               "StreamMD's partial-force reduction relies on exactly this.\n");
   jout.root().set("patterns", std::move(patterns));
-  return 0;
+  return jout.finish(0);
 }

@@ -382,5 +382,5 @@ int main(int argc, char** argv) {
   record.set("merged_total", phase_json(merged));
   record.set("failures", failures);
   jout.set_record(std::move(record));
-  return failures == 0 ? 0 : 1;
+  return jout.finish(failures == 0 ? 0 : 1);
 }

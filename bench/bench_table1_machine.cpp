@@ -14,5 +14,5 @@ int main(int argc, char** argv) {
   std::printf("== Table 1: Merrimac parameters ==\n%s\n",
               smd::core::format_machine_table(cfg).c_str());
   jout.root().set("machine", smd::core::to_json(cfg));
-  return 0;
+  return jout.finish(0);
 }

@@ -73,5 +73,5 @@ int main(int argc, char** argv) {
   }
   jout.root().set("dataset", std::move(dataset));
   jout.root().set("neighbor_histogram", std::move(hist));
-  return 0;
+  return jout.finish(0);
 }

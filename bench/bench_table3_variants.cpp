@@ -140,5 +140,5 @@ int main(int argc, char** argv) {
     }
     jout.root().set("simulation", std::move(sims));
   }
-  return 0;
+  return jout.finish(0);
 }

@@ -26,5 +26,5 @@ int main(int argc, char** argv) {
   jout.set_record(
       core::bench_record("bench_table4_arithmetic_intensity", cfg, results));
   jout.root().set("flops_per_interaction", problem.flops_per_interaction);
-  return 0;
+  return jout.finish(0);
 }

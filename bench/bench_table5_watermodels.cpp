@@ -48,5 +48,5 @@ int main(int argc, char** argv) {
                 m->name.c_str(), m->site_count(), md::pair_interactions(*m));
   }
   jout.root().set("models", std::move(rows));
-  return 0;
+  return jout.finish(0);
 }

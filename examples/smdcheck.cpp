@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
     if (opt_report_mode) failures += run_opt_report(json, cfg);
     json.root().set("failures", failures);
     std::printf("smdcheck: %d failures\n", failures);
-    return failures > 0 ? 1 : 0;
+    return json.finish(failures > 0 ? 1 : 0);
   }
 
   analysis::VerifyOptions vopts;
@@ -272,5 +272,5 @@ int main(int argc, char** argv) {
   json.root().set("errors", report.errors);
   json.root().set("warnings", report.warnings);
   json.root().set("units", std::move(report.units));
-  return report.errors > 0 ? 1 : 0;
+  return json.finish(report.errors > 0 ? 1 : 0);
 }

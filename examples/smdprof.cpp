@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
           obs::diff(prof::load_baseline(diff),
                     prof::load_baseline(positionals.front()));
       std::printf("%s\n", d.empty() ? "baselines identical" : d.c_str());
-      return d.empty() ? 0 : 1;
+      return json.finish(d.empty() ? 0 : 1);
     }
 
     const int n_molecules =
@@ -352,8 +352,9 @@ int main(int argc, char** argv) {
 
     // Read the baseline before the experiment: an unreadable file or one
     // of another schema version exits 2 without simulating.
+    std::string base_text;
     const obs::Json base =
-        check.empty() ? obs::Json() : prof::load_baseline(check);
+        check.empty() ? obs::Json() : prof::load_baseline(check, &base_text);
 
     // --scaling only needs the `variable` run it calibrates from; the
     // other modes (and the baseline, which also snapshots per-variant
@@ -383,7 +384,10 @@ int main(int argc, char** argv) {
                     now.at("scaling").size());
       }
       if (!check.empty()) {
-        const std::string d = prof::diff_baseline(base, now);
+        // Equal values are not enough: the file must be the bytes
+        // --record-baseline would write.
+        std::string d = prof::diff_baseline(base, now);
+        if (d.empty()) d = prof::diff_baseline_text(base_text, now);
         if (d.empty()) {
           std::printf("baseline check OK: %s matches this build\n",
                       check.c_str());
@@ -398,7 +402,7 @@ int main(int argc, char** argv) {
         json.root().set("baseline_check", std::move(jr));
       }
     }
-    return status;
+    return json.finish(status);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "smdprof: %s\n", ex.what());
     return 2;

@@ -476,13 +476,13 @@ int main(int argc, char** argv) {
   const std::string requests = benchio::flag_value(argc, argv, "requests");
   try {
     if (!requests.empty()) {
-      return run_requests(requests, opts, tele, jout);
+      return jout.finish(run_requests(requests, opts, tele, jout));
     }
     if (benchio::has_flag(argc, argv, "--demo")) {
       const int n_molecules =
           benchio::molecules_or_exit(argc, argv, "smdserve", 64, kUsage)
               .front();
-      return run_demo(n_molecules, opts, tele, jout);
+      return jout.finish(run_demo(n_molecules, opts, tele, jout));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "smdserve: %s\n", e.what());

@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
   if (benchio::has_flag(argc, argv, "--list-axes")) {
     std::printf("sweep axes (axis=v1,v2 or axis=lo:hi:step, ';'-separated):\n");
     for (const auto& a : tune::axis_names()) std::printf("  %s\n", a.c_str());
-    return 0;
+    return jout.finish(0);
   }
 
   tune::RunnerOptions ropts;
@@ -269,10 +269,10 @@ int main(int argc, char** argv) {
   const std::string spec = benchio::flag_value(argc, argv, "sweep");
   try {
     if (benchio::has_flag(argc, argv, "--paper")) {
-      return run_paper(problem, ropts, jout);
+      return jout.finish(run_paper(problem, ropts, jout));
     }
     if (!spec.empty()) {
-      return run_sweep(problem, spec, ropts, jout);
+      return jout.finish(run_sweep(problem, spec, ropts, jout));
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "smdtune: %s\n", e.what());

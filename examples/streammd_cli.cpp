@@ -12,6 +12,7 @@
 //     --timeline         print the execution timeline snippet
 //     --json PATH        write a machine-readable run record (config,
 //                        counters, GFLOPS, overlap/locality fractions)
+//                        when every variant validates
 //     --trace PATH       write a Chrome trace-event file of the stream
 //                        ops (open in chrome://tracing or Perfetto)
 //
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
     std::printf("usage: %s\n", kUsage);
     return 0;
   }
-  const std::string json_path = benchio::output_path_or_exit(argc, argv, "json");
+  benchio::JsonOut jout(argc, argv, kTool);
   const std::string trace_path =
       benchio::output_path_or_exit(argc, argv, "trace");
 
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
   std::printf("\nforces validated against the reference: %s\n",
               ok ? "yes" : "NO");
 
-  if (!json_path.empty()) {
+  if (jout.enabled()) {
     obs::Json record = core::bench_record("streammd_cli", cfg, results);
     obs::Json dataset = obs::Json::object();
     dataset.set("n_molecules", problem.system.n_molecules())
@@ -146,13 +147,7 @@ int main(int argc, char** argv) {
         .set("interactions", problem.half_list.n_pairs());
     record.set("dataset", std::move(dataset));
     record.set("validated", ok);
-    try {
-      obs::write_file(record, json_path);
-      std::printf("json record written to %s\n", json_path.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
+    jout.set_record(std::move(record));
   }
   if (!trace_path.empty()) {
     // One Chrome trace process per variant, one track per lane/SDR slot,
@@ -172,5 +167,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return ok ? 0 : 1;
+  return jout.finish(ok ? 0 : 1);
 }

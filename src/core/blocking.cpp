@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -67,6 +68,13 @@ BlockingPoint BlockingModel::at(double size) const {
   const double t_blk = std::max(p_.variable_kernel_cycles * pt.kernel_rel,
                                 p_.variable_memory_cycles * pt.memory_rel);
   pt.time_rel = t_blk / t_var;
+  if (!std::isfinite(pt.molecules) || !std::isfinite(pt.kernel_rel) ||
+      !std::isfinite(pt.memory_rel) || !std::isfinite(pt.time_rel)) {
+    char msg[96];
+    std::snprintf(msg, sizeof msg,
+                  "cluster size %g gives a non-finite model value", size);
+    throw std::invalid_argument(msg);
+  }
   return pt;
 }
 

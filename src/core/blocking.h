@@ -56,7 +56,9 @@ class BlockingModel {
  public:
   explicit BlockingModel(const BlockingModelParams& params) : p_(params) {}
 
-  /// Evaluate the model at one normalized cluster size x > 0.
+  /// Evaluate the model at one normalized cluster size x > 0. Throws
+  /// std::invalid_argument when x gives a value that is not finite (x^3
+  /// or the padded sphere volume overflows).
   BlockingPoint at(double size) const;
 
   /// Sweep x over [lo, hi] with `n` points (Figure 11/12 curves).
