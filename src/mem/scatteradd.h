@@ -38,9 +38,13 @@ struct ScatterAddStats {
 /// Every field, for bench records and the bit-identity gates.
 obs::Json to_json(const ScatterAddStats& s);
 
-/// Combining store for one cache bank: `combining_entries` slots searched
-/// linearly. An entry is in flight while its expiry lies past the last
-/// purge time, so purging is O(1): it only moves that horizon.
+/// Combining store for one cache bank: up to `combining_entries` in-flight
+/// additions. An entry is in flight while its expiry lies past the last
+/// purge time, so purging is O(1): it only moves that horizon. The entries
+/// are kept packed; the first access after the horizon moves drops the
+/// expired ones, so a merge searches only additions still in flight and
+/// an allocation appends. Which slot holds an entry is never observable:
+/// an address has at most one entry in flight.
 class CombiningStore {
  public:
   explicit CombiningStore(const ScatterAddConfig& cfg)
@@ -71,9 +75,14 @@ class CombiningStore {
     std::uint64_t expiry = 0;  ///< in flight while > horizon_
   };
 
+  /// Drop the entries that expired by horizon_ from the packed prefix.
+  void compact();
+
   ScatterAddConfig cfg_;
   std::vector<Entry> entries_;  ///< one slot per combining entry
+  std::size_t packed_ = 0;      ///< entries_[0, packed_) may be in flight
   std::uint64_t horizon_ = 0;   ///< latest purge_expired time
+  std::uint64_t compacted_ = 0;  ///< horizon_ at the last compact()
   ScatterAddStats stats_;
 };
 
