@@ -211,16 +211,11 @@ PYEOF
     # count, and every per-node ledger must tile the step.
     echo "==== smdprof --scaling (${preset}) ===="
     "${build_dir[${preset}]}/examples/smdprof" --scaling --molecules 256
-  fi
-  if [ "${preset}" = default ]; then
-    # Kernel-backend scoreboard (EXPERIMENTS.md "Interpreter vs. compiled
-    # VM"): per built-in kernel, the VM must be bit-identical AND strictly
-    # faster than the interpreter; either violation exits non-zero.
-    echo "==== bench_native_kernels --selfcheck (${preset}) ===="
-    "${build_dir[${preset}]}/bench/bench_native_kernels" --selfcheck
     # Benchmark-regression gate (see EXPERIMENTS.md "Profiling and
     # regression tracking"): on the first ever run record the baseline;
-    # afterwards fail on any difference from the committed file.
+    # afterwards fail on any difference from the committed file. Under the
+    # sanitizers too: it runs the memory model's tick loop on the
+    # 900-molecule paper workload.
     if [ -f BENCH_baseline.json ]; then
       echo "==== smdprof --check-baseline (${preset}) ===="
       "${build_dir[${preset}]}/examples/smdprof" --check-baseline BENCH_baseline.json
@@ -228,6 +223,24 @@ PYEOF
       echo "==== smdprof --record-baseline (first run) ===="
       "${build_dir[${preset}]}/examples/smdprof" --record-baseline BENCH_baseline.json
     fi
+    # A 128-bank cache (cache_gbps=1024) has more banks than one 64-bit
+    # word of the memory model's active-bank set; every candidate must
+    # simulate (exit 0, no error row).
+    echo "==== smdtune 128-bank sweep (${preset}) ===="
+    sweep=$("${build_dir[${preset}]}/examples/smdtune" \
+      --sweep "variant=variable,duplicated;cache_gbps=1024" --molecules 64)
+    echo "${sweep}"
+    if echo "${sweep}" | grep -qw error; then
+      echo "128-bank sweep printed an error row"
+      exit 1
+    fi
+  fi
+  if [ "${preset}" = default ]; then
+    # Kernel-backend scoreboard (EXPERIMENTS.md "Interpreter vs. compiled
+    # VM"): per built-in kernel, the VM must be bit-identical AND strictly
+    # faster than the interpreter; either violation exits non-zero.
+    echo "==== bench_native_kernels --selfcheck (${preset}) ===="
+    "${build_dir[${preset}]}/bench/bench_native_kernels" --selfcheck
     # Host-time benchmark smoke (hostbench/README.md, gated by
     # BENCHMARK.json): hostbench is its own CMake package over src/ and
     # calls sim::KernelCostCache, tune::Runner and svc::Server directly, so
