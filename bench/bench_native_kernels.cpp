@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,13 +76,31 @@ void BM_SseStyleForces(benchmark::State& state) {
 }
 BENCHMARK(BM_SseStyleForces)->Unit(benchmark::kMillisecond);
 
+/// The water box of `n` molecules (seed 42), built once per size.
+const md::WaterSystem& water_box(int n) {
+  static std::map<int, md::WaterSystem> boxes;
+  auto it = boxes.find(n);
+  if (it == boxes.end()) {
+    md::WaterBoxOptions opts;
+    opts.n_molecules = n;
+    it = boxes.emplace(n, md::build_water_box(opts)).first;
+  }
+  return it->second;
+}
+
+/// The production builder at the production cutoff, at the paper's 900
+/// molecules and at the 1,800 and 7,200 of the host benchmarks.
 void BM_NeighborListCells(benchmark::State& state) {
-  const auto& f = Fixture::get();
+  const md::WaterSystem& sys = water_box(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(md::build_neighbor_list(f.sys, 1.0));
+    benchmark::DoNotOptimize(md::build_neighbor_list(sys, 1.0));
   }
 }
-BENCHMARK(BM_NeighborListCells)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NeighborListCells)
+    ->Arg(900)
+    ->Arg(1800)
+    ->Arg(7200)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NeighborListBrute(benchmark::State& state) {
   const auto& f = Fixture::get();
