@@ -43,9 +43,15 @@ struct NeighborList {
 /// O(N^2) reference builder (ground truth for tests).
 NeighborList build_neighbor_list_brute(const WaterSystem& sys, double cutoff);
 
-/// Cell-list builder, O(N) for liquid densities. Produces entries in the
-/// same (sorted-by-neighbor-index) order as the brute-force builder.
-/// Falls back to the brute-force path when the box is too small for cells.
+/// Cell-list builder, O(N) for liquid densities, bit for bit the
+/// brute-force builder's list: the same rows in the same (ascending)
+/// order, the same shifts. Wrapped centers are binned into cells at least
+/// cutoff/2 wide (at most about one cell per molecule) and a half 5x5x5
+/// stencil is walked with one periodic shift per cell pair; a pair whose
+/// squared distance lies within a rounding band of cutoff^2 is decided by
+/// the brute-force test. Boxes under 5 such cells per side, where a large
+/// share of all pairs lies within the cutoff, are built by
+/// build_neighbor_list_brute itself.
 NeighborList build_neighbor_list(const WaterSystem& sys, double cutoff);
 
 }  // namespace smd::md

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "src/md/constants.h"
 #include "src/md/force_ref.h"
@@ -9,9 +11,30 @@
 #include "src/md/pbc.h"
 #include "src/md/system.h"
 #include "src/md/water.h"
+#include "src/util/rng.h"
 
 namespace smd::md {
 namespace {
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// The production builder against the brute-force one: the same offsets
+/// and neighbors, and shifts with the same bit patterns.
+void expect_same_list(const NeighborList& brute, const NeighborList& cells) {
+  ASSERT_EQ(brute.n_pairs(), cells.n_pairs());
+  ASSERT_EQ(brute.offsets, cells.offsets);
+  ASSERT_EQ(brute.neighbors, cells.neighbors);
+  ASSERT_EQ(brute.shifts.size(), cells.shifts.size());
+  for (std::size_t k = 0; k < brute.shifts.size(); ++k) {
+    ASSERT_EQ(bits(brute.shifts[k].x), bits(cells.shifts[k].x)) << "entry " << k;
+    ASSERT_EQ(bits(brute.shifts[k].y), bits(cells.shifts[k].y)) << "entry " << k;
+    ASSERT_EQ(bits(brute.shifts[k].z), bits(cells.shifts[k].z)) << "entry " << k;
+  }
+}
 
 TEST(Vec3, Arithmetic) {
   const Vec3 a{1, 2, 3}, b{4, 5, 6};
@@ -133,31 +156,136 @@ TEST(WaterBox, CenterOfMassMomentumRemoved) {
   EXPECT_NEAR(p.norm(), 0.0, 1e-9);
 }
 
-class NeighborListParam : public ::testing::TestWithParam<std::tuple<int, double>> {};
+class NeighborListParam
+    : public ::testing::TestWithParam<std::tuple<int, double, std::uint64_t>> {};
 
 TEST_P(NeighborListParam, CellListMatchesBruteForce) {
-  const auto [n, rc] = GetParam();
+  const auto [n, rc, seed] = GetParam();
   WaterBoxOptions opts;
   opts.n_molecules = n;
-  opts.seed = 17;
+  opts.seed = seed;
   const WaterSystem sys = build_water_box(opts);
-  const NeighborList brute = build_neighbor_list_brute(sys, rc);
-  const NeighborList cells = build_neighbor_list(sys, rc);
-  ASSERT_EQ(brute.n_pairs(), cells.n_pairs());
-  ASSERT_EQ(brute.offsets, cells.offsets);
-  ASSERT_EQ(brute.neighbors, cells.neighbors);
-  for (std::size_t k = 0; k < brute.shifts.size(); ++k) {
-    EXPECT_NEAR(brute.shifts[k].x, cells.shifts[k].x, 1e-12);
-    EXPECT_NEAR(brute.shifts[k].y, cells.shifts[k].y, 1e-12);
-    EXPECT_NEAR(brute.shifts[k].z, cells.shifts[k].z, 1e-12);
+  expect_same_list(build_neighbor_list_brute(sys, rc), build_neighbor_list(sys, rc));
+}
+
+// Small boxes at short cutoffs, then the production cutoff at the paper's
+// 900 molecules, variants-1800's 1,800, and 3,600 and 7,200.
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, NeighborListParam,
+    ::testing::Values(std::make_tuple(64, 0.5, 17), std::make_tuple(125, 0.6, 17),
+                      std::make_tuple(216, 0.45, 17), std::make_tuple(343, 0.55, 17),
+                      std::make_tuple(512, 0.7, 17), std::make_tuple(900, 1.0, 1),
+                      std::make_tuple(900, 1.0, 2), std::make_tuple(900, 1.0, 42),
+                      std::make_tuple(1800, 1.0, 1), std::make_tuple(1800, 1.0, 2),
+                      std::make_tuple(1800, 1.0, 42), std::make_tuple(3600, 1.0, 1),
+                      std::make_tuple(3600, 1.0, 2), std::make_tuple(3600, 1.0, 42),
+                      std::make_tuple(7200, 1.0, 42)));
+
+/// `n` molecules with centers drawn uniformly from [-L, 2L) per axis of a
+/// cubic box of edge L, so a third of them lie outside it.
+WaterSystem random_centers(double edge, int n, std::uint64_t seed) {
+  WaterSystem sys(Box(edge), spc(), n);
+  util::Rng rng(seed);
+  for (int m = 0; m < n; ++m) {
+    sys.pos(m, 0) = Vec3{rng.uniform(-edge, 2 * edge), rng.uniform(-edge, 2 * edge),
+                         rng.uniform(-edge, 2 * edge)};
+  }
+  return sys;
+}
+
+TEST(NeighborList, BoxesAroundFiveHalfCutoffCellsMatchBruteForce) {
+  // Five cells of half a cutoff per side is where the cell walk begins:
+  // the box just under is built by the brute-force builder, the one just
+  // over by the 5x5x5 stencil, which must match it bit for bit.
+  const double rc = 1.0;
+  for (const double edge : {2.5 * rc * (1 - 1e-6), 2.5 * rc * (1 + 1e-6)}) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "edge " << edge << " seed " << seed);
+      const WaterSystem sys = random_centers(edge, 400, seed);
+      expect_same_list(build_neighbor_list_brute(sys, rc), build_neighbor_list(sys, rc));
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, NeighborListParam,
-    ::testing::Values(std::make_tuple(64, 0.5), std::make_tuple(125, 0.6),
-                      std::make_tuple(216, 0.45), std::make_tuple(343, 0.55),
-                      std::make_tuple(512, 0.7)));
+TEST(NeighborList, PairsAtExactlyTheCutoffAndAcrossTheBoundary) {
+  // A 10^3 lattice of spacing 1/4 in a box of 2.5, centers at 1/8 + k/4:
+  // every coordinate and difference is exact, so the pairs two spacings
+  // apart on an axis sit at exactly the cutoff (0.5) and are listed (the
+  // test is r2 <= rc2), including the ones that cross the box faces.
+  const int side = 10;
+  WaterSystem sys(Box(2.5), spc(), side * side * side);
+  auto index = [&](int ix, int iy, int iz) { return (ix * side + iy) * side + iz; };
+  for (int ix = 0; ix < side; ++ix) {
+    for (int iy = 0; iy < side; ++iy) {
+      for (int iz = 0; iz < side; ++iz) {
+        sys.pos(index(ix, iy, iz), 0) =
+            Vec3{0.125 + 0.25 * ix, 0.125 + 0.25 * iy, 0.125 + 0.25 * iz};
+      }
+    }
+  }
+  const double rc = 0.5;
+  const NeighborList list = build_neighbor_list(sys, rc);
+  expect_same_list(build_neighbor_list_brute(sys, rc), list);
+  // 32 lattice neighbors within 2 spacings (6 + 12 + 8 + the 6 at the
+  // cutoff), each pair listed once.
+  EXPECT_EQ(list.n_pairs(), 16 * sys.n_molecules());
+  // Molecule 0 at the corner meets (9,0,0) one spacing away and (8,0,0)
+  // at the cutoff, both through the x face: shift -L.
+  for (const int j : {index(9, 0, 0), index(8, 0, 0)}) {
+    bool found = false;
+    for (std::int32_t k = list.offsets[0]; k < list.offsets[1]; ++k) {
+      if (list.neighbors[static_cast<std::size_t>(k)] != j) continue;
+      found = true;
+      const Vec3& s = list.shifts[static_cast<std::size_t>(k)];
+      EXPECT_EQ(s.x, -2.5);
+      EXPECT_EQ(s.y, 0.0);
+      EXPECT_EQ(s.z, 0.0);
+    }
+    EXPECT_TRUE(found) << "molecule " << j;
+  }
+}
+
+TEST(NeighborList, PairsWithinRoundingOfTheCutoffMatchBruteForce) {
+  // 300 pairs placed a cutoff apart to within a few ulps, each molecule
+  // moved by whole box lengths, so distances from wrapped and from
+  // original centers round differently: the fast walks must leave these
+  // pairs to the brute-force test.
+  const double edge = 3.0;
+  const double rc = 1.0;
+  const int n_pairs = 300;
+  WaterSystem sys(Box(edge), spc(), 2 * n_pairs);
+  util::Rng rng(11);
+  auto box_shift = [&] {
+    return Vec3{edge * static_cast<double>(rng.uniform_u64(7)) - 3 * edge,
+                edge * static_cast<double>(rng.uniform_u64(7)) - 3 * edge,
+                edge * static_cast<double>(rng.uniform_u64(7)) - 3 * edge};
+  };
+  for (int k = 0; k < n_pairs; ++k) {
+    const Vec3 a{rng.uniform(0, edge), rng.uniform(0, edge), rng.uniform(0, edge)};
+    Vec3 u{rng.normal(), rng.normal(), rng.normal()};
+    u = u / u.norm();
+    const double r = rc * (1.0 + 4e-16 * rng.uniform(-1.0, 1.0));
+    sys.pos(2 * k, 0) = a + box_shift();
+    sys.pos(2 * k + 1, 0) = a + u * r + box_shift();
+  }
+  expect_same_list(build_neighbor_list_brute(sys, rc), build_neighbor_list(sys, rc));
+}
+
+TEST(NeighborList, TinyCutoffListsNoPair) {
+  // A cutoff far below the spacing: the cell count is capped at about one
+  // cell per molecule instead of (L / cutoff)^3, and the list is empty.
+  WaterBoxOptions opts;
+  opts.n_molecules = 64;
+  const WaterSystem sys = build_water_box(opts);
+  for (const double rc : {1e-3, 1e-9, 1e-300}) {
+    const NeighborList list = build_neighbor_list(sys, rc);
+    EXPECT_EQ(list.n_pairs(), 0) << rc;
+    EXPECT_EQ(list.n_molecules(), 64);
+  }
+  opts.n_molecules = 1800;
+  const WaterSystem big = build_water_box(opts);
+  expect_same_list(build_neighbor_list_brute(big, 1e-3), build_neighbor_list(big, 1e-3));
+}
 
 TEST(NeighborList, HalfListNoSelfNoDuplicates) {
   WaterBoxOptions opts;
