@@ -393,31 +393,35 @@ std::vector<ShiftGroup> group_by_shift(const md::NeighborList& list, int mol) {
 }
 
 md::NeighborList make_full_list(const md::NeighborList& half) {
+  // Row r of the full list is {i, -s} for each half entry (i, r, s), then
+  // row r of the half list. Walking the half list by ascending i fills
+  // each row in that order, which is ascending when the half rows are
+  // ascending with j > i: one counting pass, no per-row sort.
   md::NeighborList full;
   full.cutoff = half.cutoff;
-  const int n = half.n_molecules();
-  std::vector<std::vector<std::pair<std::int32_t, md::Vec3>>> rows(
-      static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    for (std::int32_t k = half.offsets[static_cast<std::size_t>(i)];
-         k < half.offsets[static_cast<std::size_t>(i) + 1]; ++k) {
-      const std::int32_t j = half.neighbors[static_cast<std::size_t>(k)];
-      const md::Vec3 s = half.shifts[static_cast<std::size_t>(k)];
-      rows[static_cast<std::size_t>(i)].push_back({j, s});
-      rows[static_cast<std::size_t>(j)].push_back({i, -s});
+  const auto n = static_cast<std::size_t>(half.n_molecules());
+  full.offsets.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    full.offsets[i + 1] += half.offsets[i + 1] - half.offsets[i];
+    for (std::int32_t k = half.offsets[i]; k < half.offsets[i + 1]; ++k) {
+      ++full.offsets[static_cast<std::size_t>(half.neighbors[static_cast<std::size_t>(k)]) + 1];
     }
   }
-  full.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    auto& row = rows[static_cast<std::size_t>(i)];
-    std::sort(row.begin(), row.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [j, s] : row) {
-      full.neighbors.push_back(j);
-      full.shifts.push_back(s);
+  for (std::size_t i = 1; i <= n; ++i) full.offsets[i] += full.offsets[i - 1];
+  full.neighbors.resize(static_cast<std::size_t>(full.offsets[n]));
+  full.shifts.resize(full.neighbors.size());
+  std::vector<std::int32_t> next(full.offsets.begin(), full.offsets.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::int32_t k = half.offsets[i]; k < half.offsets[i + 1]; ++k) {
+      const std::int32_t j = half.neighbors[static_cast<std::size_t>(k)];
+      const md::Vec3& s = half.shifts[static_cast<std::size_t>(k)];
+      const auto at_i = static_cast<std::size_t>(next[i]++);
+      full.neighbors[at_i] = j;
+      full.shifts[at_i] = s;
+      const auto at_j = static_cast<std::size_t>(next[static_cast<std::size_t>(j)]++);
+      full.neighbors[at_j] = static_cast<std::int32_t>(i);
+      full.shifts[at_j] = -s;
     }
-    full.offsets[static_cast<std::size_t>(i) + 1] =
-        static_cast<std::int32_t>(full.neighbors.size());
   }
   return full;
 }

@@ -112,7 +112,9 @@ VariantLayout build_layout(Variant variant, const md::WaterSystem& sys,
 /// the tuner simulates them once per sweep (tune::run_hash).
 bool reads_fixed_list_length(Variant variant);
 
-/// The full (directed) list used by `duplicated`, derived from a half list.
+/// The full (directed) list used by `duplicated`, derived from a half list
+/// whose rows ascend with j > i, as build_neighbor_list's do; each full
+/// row then ascends too, and entry (j, i) carries the negated shift.
 md::NeighborList make_full_list(const md::NeighborList& half_list);
 
 /// Group a molecule's neighbor-list entries by identical shift vector;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "src/analysis/verify_ir.h"
 #include "src/core/blocking.h"
@@ -17,6 +19,8 @@
 #include "src/core/program.h"
 #include "src/core/run.h"
 #include "src/md/force_ref.h"
+#include "src/md/neighborlist.h"
+#include "src/md/system.h"
 
 namespace smd::core {
 namespace {
@@ -192,6 +196,65 @@ TEST(Layouts, FullListDoublesPairs) {
       }
       EXPECT_TRUE(found);
     }
+  }
+}
+
+/// make_full_list as it was built before its counting pass: per-row
+/// vectors of (neighbor, shift), each sorted by neighbor.
+md::NeighborList full_list_by_sorting(const md::NeighborList& half) {
+  md::NeighborList full;
+  full.cutoff = half.cutoff;
+  const int n = half.n_molecules();
+  std::vector<std::vector<std::pair<std::int32_t, md::Vec3>>> rows(
+      static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    for (std::int32_t k = half.offsets[static_cast<std::size_t>(i)];
+         k < half.offsets[static_cast<std::size_t>(i) + 1]; ++k) {
+      const std::int32_t j = half.neighbors[static_cast<std::size_t>(k)];
+      const md::Vec3 s = half.shifts[static_cast<std::size_t>(k)];
+      rows[static_cast<std::size_t>(i)].push_back({j, s});
+      rows[static_cast<std::size_t>(j)].push_back({i, -s});
+    }
+  }
+  full.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (int i = 0; i < n; ++i) {
+    auto& row = rows[static_cast<std::size_t>(i)];
+    std::sort(row.begin(), row.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [j, s] : row) {
+      full.neighbors.push_back(j);
+      full.shifts.push_back(s);
+    }
+    full.offsets[static_cast<std::size_t>(i) + 1] =
+        static_cast<std::int32_t>(full.neighbors.size());
+  }
+  return full;
+}
+
+TEST(Layouts, FullListMatchesTheSortedConstruction) {
+  // Shifts compare by bit pattern, so a 0.0 where the sorted construction
+  // has -0.0 (the negation of a zero shift component) fails.
+  for (const int n : {64, 900, 1800}) {
+    md::WaterBoxOptions opts;
+    opts.n_molecules = n;
+    const md::WaterSystem sys = md::build_water_box(opts);
+    const md::NeighborList half = md::build_neighbor_list(sys, 1.0);
+    const md::NeighborList got = make_full_list(half);
+    const md::NeighborList want = full_list_by_sorting(half);
+    EXPECT_EQ(got.cutoff, want.cutoff);
+    ASSERT_EQ(got.offsets, want.offsets) << n;
+    ASSERT_EQ(got.neighbors, want.neighbors) << n;
+    ASSERT_EQ(got.shifts.size(), want.shifts.size()) << n;
+    std::int64_t negative_zeros = 0;
+    for (std::size_t k = 0; k < want.shifts.size(); ++k) {
+      const md::Vec3& a = got.shifts[k];
+      const md::Vec3& b = want.shifts[k];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.x), std::bit_cast<std::uint64_t>(b.x)) << n << " entry " << k;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.y), std::bit_cast<std::uint64_t>(b.y)) << n << " entry " << k;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.z), std::bit_cast<std::uint64_t>(b.z)) << n << " entry " << k;
+      negative_zeros += std::signbit(b.x) && b.x == 0.0;
+    }
+    EXPECT_GT(negative_zeros, 0) << n;  // the -0.0 case is exercised
   }
 }
 
