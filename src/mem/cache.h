@@ -68,9 +68,6 @@ class CacheTags {
   int bank_of_line(std::uint64_t line_addr) const {
     return static_cast<int>(bank_div_.rem(line_addr));
   }
-  int bank_of(std::uint64_t word_addr) const {
-    return bank_of_line(line_of(word_addr));
-  }
 
   /// Probe (and update LRU on hit). Does not allocate.
   CacheOutcome probe(std::uint64_t word_addr) {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #include "src/obs/registry.h"
@@ -69,10 +68,6 @@ obs::Json to_json(const MemSystemStats& s) {
   return j;
 }
 
-// ops_ grows by moving Ops; a copy would re-home desc.indices and leave the
-// address generator pointing at the old buffer.
-static_assert(std::is_nothrow_move_constructible_v<MemOpDesc>);
-
 MemSystem::Bank::Bank(const CacheConfig& cache, const ScatterAddConfig& sa,
                       BankReq* ring_slots)
     : ring(ring_slots),
@@ -121,10 +116,11 @@ MemSystem::MemSystem(const MemSystemConfig& cfg, GlobalMemory* mem)
   ag_current_.assign(static_cast<std::size_t>(cfg.n_address_generators), -1);
 }
 
-MemSystem::OpId MemSystem::issue(MemOpDesc desc, std::vector<double>* load_dst,
+MemSystem::OpId MemSystem::issue(const MemOpDesc& desc,
+                                 std::vector<double>* load_dst,
                                  const std::vector<double>* store_src) {
   transfer(desc, *mem_, load_dst, store_src);
-  return enqueue(std::move(desc));
+  return enqueue(desc);
 }
 
 void MemSystem::transfer(const MemOpDesc& desc, GlobalMemory& mem,
@@ -159,27 +155,26 @@ void MemSystem::transfer(const MemOpDesc& desc, GlobalMemory& mem,
   }
 }
 
-MemSystem::OpId MemSystem::enqueue(MemOpDesc desc) {
+MemSystem::OpId MemSystem::enqueue(const MemOpDesc& desc) {
   const std::int64_t total = desc.total_words();
   const OpId id = static_cast<OpId>(ops_.size());
 
   Op op;
-  op.desc = std::move(desc);
-  pending_.push_back(total + 1);  // the words, plus the walk itself
+  op.kind = desc.kind;
   if (total == 0) {
     op.done = true;
     op.finish_time = now_;
     last_finish_ = std::max(last_finish_, now_);
-  }
-  ops_.push_back(std::move(op));
-  if (!ops_.back().done) {
-    ops_.back().ag.start(&ops_.back().desc);
+  } else {
+    op.ag.start(&desc);  // throws on a short index stream, before any change
     ag_queue_.push_back(id);
     ++ag_ops_;
     ++active_ops_;
   }
+  ops_.push_back(op);
+  pending_.push_back(total + 1);  // the words, plus the walk itself
   ++stats_.ops;
-  const MemOpKind kind = ops_.back().desc.kind;
+  const MemOpKind kind = desc.kind;
   auto& reg = obs::CounterRegistry::global();
   reg.add("mem.ops_issued");
   if (is_load(kind)) {
@@ -220,7 +215,7 @@ void MemSystem::generate_addresses() {
   for (auto& cur : ag_current_) {
     if (cur < 0) continue;
     Op& op = ops_[static_cast<std::size_t>(cur)];
-    const MemOpKind kind = op.desc.kind;
+    const MemOpKind kind = op.kind;
     int generated = 0;
     // One pass per run of consecutive words of one record inside one
     // line: a line lives in one bank, so the bank and the room left in its
@@ -246,9 +241,6 @@ void MemSystem::generate_addresses() {
     queued_ += generated;
     stats_.addr_generated += generated;
     if (op.ag.done()) {
-      // The walk is over: free the op's copy of its index stream now
-      // rather than when the memory system goes.
-      std::vector<std::uint64_t>().swap(op.desc.indices);
       retire_word(cur);  // the walk's own share of pending_
       cur = -1;  // free the generator
       --ag_ops_;

@@ -90,7 +90,7 @@ class MemSystem {
   /// Issue a stream memory operation: transfer() its data now, then
   /// enqueue() its timing. Calls must come in an order that respects data
   /// dependences.
-  OpId issue(MemOpDesc desc, std::vector<double>* load_dst,
+  OpId issue(const MemOpDesc& desc, std::vector<double>* load_dst,
              const std::vector<double>* store_src);
 
   /// The functional half of issue, exact and immediate:
@@ -104,8 +104,11 @@ class MemSystem {
 
   /// The timing half of issue: queues the op's address walk through the
   /// pipeline and counts its words. No data moves, so the stream
-  /// controller can apply transfer() elsewhere, in issue order.
-  OpId enqueue(MemOpDesc desc);
+  /// controller can apply transfer() elsewhere, in issue order. The walk
+  /// reads a gather's or scatter's index vector in place, without a copy:
+  /// an indexed `desc` must outlive its op (until op_completed), as a
+  /// stream program's descriptors outlive the run.
+  OpId enqueue(const MemOpDesc& desc);
 
   /// Advance one cycle.
   void tick();
@@ -147,8 +150,8 @@ class MemSystem {
 
  private:
   struct Op {
-    MemOpDesc desc;
-    AddressGenerator ag;  // points into desc.indices, which a move keeps
+    MemOpKind kind = MemOpKind::kLoadStrided;
+    AddressGenerator ag;  // points into the caller's desc.indices
     bool done = false;
     std::uint64_t finish_time = 0;
   };

@@ -331,6 +331,8 @@ class RunContext {
     is.start = now_;
     is.phase = Phase::kRunning;
     ++stats_.n_memory_ops;
+    // The program outlives the run, so the memory system walks each
+    // descriptor's index vector in place.
     if (const auto* load = std::get_if<LoadOp>(&instr)) {
       is.label = std::string(mem::mem_op_verb(load->desc.kind)) + " s" +
                  std::to_string(load->dst);
