@@ -52,6 +52,14 @@ for preset in "${presets[@]}"; do
     echo "==== memory-model golden digests (${preset}) ===="
     ctest --preset "${preset}" -R '^(memsys_golden_test|mem_test)$' \
       --output-on-failure
+    # Neighbor-list gate: md_test compares the cell-list builder with the
+    # brute-force one bit for bit (offsets, neighbors, shift bit patterns)
+    # from 64 to 7,200 molecules, at the cutoff and around the all-pairs
+    # threshold; md_property_test holds the list invariants. Re-run
+    # standalone so a neighbor-list divergence is named in the log.
+    echo "==== neighbor list against brute force (${preset}) ===="
+    ctest --preset "${preset}" -R '^(md_test|md_property_test)$' \
+      --output-on-failure
     # Kernel-layer gate: the golden digests pin every built-in schedule
     # and the verifier's diagnostics; kernel_test checks the register
     # operand rule against the interpreter; analysis_test holds the
