@@ -11,49 +11,42 @@ obs::Json to_json(const ScatterAddStats& s) {
   return j;
 }
 
-void CombiningStore::compact() {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < packed_; ++i) {
-    entries_[kept] = entries_[i];
-    kept += entries_[i].expiry > horizon_ ? 1 : 0;
-  }
-  packed_ = kept;
-  compacted_ = horizon_;
-}
-
 bool CombiningStore::try_merge(std::uint64_t word_addr, std::uint64_t now) {
-  if (compacted_ != horizon_) compact();
-  for (std::size_t i = 0; i < packed_; ++i) {
-    Entry& e = entries_[i];
-    if (e.addr != word_addr) continue;
-    // Merging extends the in-flight addition's window by one FU pass.
-    e.expiry = now + static_cast<std::uint64_t>(cfg_.latency);
-    ++stats_.requests;
-    ++stats_.combined;
-    return true;
+  const std::size_t cap = ring_.size();
+  std::size_t i = head_;
+  for (std::size_t k = 0; k < count_; ++k) {
+    if (ring_[i].addr == word_addr) {
+      // Merging extends the in-flight addition's window by one FU pass,
+      // past every other entry's: shift the later entries forward and
+      // put this one at the back.
+      for (++k; k < count_; ++k) {
+        const std::size_t next = i + 1 == cap ? 0 : i + 1;
+        ring_[i] = ring_[next];
+        i = next;
+      }
+      ring_[i] = {word_addr, now + latency_};
+      ++stats_.requests;
+      ++stats_.combined;
+      return true;
+    }
+    if (++i == cap) i = 0;
   }
   return false;
 }
 
 bool CombiningStore::try_allocate(std::uint64_t word_addr, std::uint64_t now) {
-  if (compacted_ != horizon_) compact();
-  if (packed_ == entries_.size()) {
+  const std::size_t cap = ring_.size();
+  if (count_ == cap) {
     ++stats_.stalled;
     return false;
   }
-  entries_[packed_++] = {word_addr,
-                         now + static_cast<std::uint64_t>(cfg_.latency)};
+  std::size_t tail = head_ + count_;
+  if (tail >= cap) tail -= cap;
+  ring_[tail] = {word_addr, now + latency_};
+  ++count_;
   ++stats_.requests;
   ++stats_.issued;
   return true;
-}
-
-int CombiningStore::occupancy() const {
-  int n = 0;
-  for (std::size_t i = 0; i < packed_; ++i) {
-    n += entries_[i].expiry > horizon_ ? 1 : 0;
-  }
-  return n;
 }
 
 }  // namespace smd::mem

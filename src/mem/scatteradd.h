@@ -39,17 +39,17 @@ struct ScatterAddStats {
 obs::Json to_json(const ScatterAddStats& s);
 
 /// Combining store for one cache bank: up to `combining_entries` in-flight
-/// additions. An entry is in flight while its expiry lies past the last
-/// purge time, so purging is O(1): it only moves that horizon. The entries
-/// are kept packed; the first access after the horizon moves drops the
-/// expired ones, so a merge searches only additions still in flight and
-/// an allocation appends. Which slot holds an entry is never observable:
-/// an address has at most one entry in flight.
+/// additions, a ring in expiry order. An allocation and a merge both set
+/// an entry's expiry to now + latency, the latest expiry of any entry
+/// (time only moves forward), so an allocation appends at the back, a
+/// merge moves its entry to the back, and purging pops expired entries
+/// from the front. Which slot holds an entry is never observable: an
+/// address has at most one entry in flight.
 class CombiningStore {
  public:
   explicit CombiningStore(const ScatterAddConfig& cfg)
-      : cfg_(cfg),
-        entries_(static_cast<std::size_t>(
+      : latency_(static_cast<std::uint64_t>(cfg.latency)),
+        ring_(static_cast<std::size_t>(
             cfg.combining_entries > 0 ? cfg.combining_entries : 0)) {}
 
   /// True if an in-flight addition to `word_addr` exists; merges into it.
@@ -62,27 +62,26 @@ class CombiningStore {
 
   /// Drop entries whose merge window has expired (expiry <= now).
   void purge_expired(std::uint64_t now) {
-    if (now > horizon_) horizon_ = now;
+    while (count_ > 0 && ring_[head_].expiry <= now) {
+      if (++head_ == ring_.size()) head_ = 0;
+      --count_;
+    }
   }
 
-  int occupancy() const;
-  bool empty() const { return occupancy() == 0; }
+  int occupancy() const { return static_cast<int>(count_); }
+  bool empty() const { return count_ == 0; }
   const ScatterAddStats& stats() const { return stats_; }
 
  private:
   struct Entry {
     std::uint64_t addr = 0;
-    std::uint64_t expiry = 0;  ///< in flight while > horizon_
+    std::uint64_t expiry = 0;  ///< in flight while > the last purge time
   };
 
-  /// Drop the entries that expired by horizon_ from the packed prefix.
-  void compact();
-
-  ScatterAddConfig cfg_;
-  std::vector<Entry> entries_;  ///< one slot per combining entry
-  std::size_t packed_ = 0;      ///< entries_[0, packed_) may be in flight
-  std::uint64_t horizon_ = 0;   ///< latest purge_expired time
-  std::uint64_t compacted_ = 0;  ///< horizon_ at the last compact()
+  std::uint64_t latency_;
+  std::vector<Entry> ring_;  ///< one slot per combining entry
+  std::size_t head_ = 0;     ///< the entry that expires first
+  std::size_t count_ = 0;    ///< entries in flight, from head_ on
   ScatterAddStats stats_;
 };
 
