@@ -18,6 +18,7 @@
 //
 // Prints the Figure 8/9-style metrics for the requested run(s) and exits
 // non-zero if any variant fails force validation.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -105,7 +106,18 @@ int main(int argc, char** argv) {
   }
 
   const core::Problem problem = core::Problem::make(setup);
-  std::printf("dataset: %d molecules, r_c %.2f nm, %lld interactions, seed %llu\n",
+  // The neighbor list keeps one minimum image per pair, so beyond half the
+  // box edge the periodic images a cutoff sphere reaches are missing.
+  const md::Vec3& edge = problem.system.box().length;
+  const double half_edge = 0.5 * std::min({edge.x, edge.y, edge.z});
+  if (setup.cutoff > half_edge) {
+    std::fprintf(stderr,
+                 "%s: warning: cutoff %g nm exceeds half the box edge "
+                 "(%g nm); the neighbor list keeps one periodic image per "
+                 "pair\n",
+                 kTool, setup.cutoff, half_edge);
+  }
+  std::printf("dataset: %d molecules, r_c %g nm, %lld interactions, seed %llu\n",
               problem.system.n_molecules(), setup.cutoff,
               static_cast<long long>(problem.half_list.n_pairs()),
               static_cast<unsigned long long>(setup.seed));
