@@ -57,8 +57,9 @@ struct MemOpDesc {
 };
 
 /// Walks the word addresses of a MemOpDesc in order. The memory system
-/// calls peek/advance once per generated word, so both are inline and the
-/// current record's base address is kept rather than re-derived per word.
+/// calls peek once per run of consecutive words and skips over the run,
+/// so both are inline and the current record's base address is kept
+/// rather than re-derived per word.
 /// The descriptor (and its index vector) must outlive the walk.
 class AddressGenerator {
  public:
