@@ -1,5 +1,6 @@
 // Reproduces paper Table 3: the StreamMD implementation variants, plus a
-// scheduling column: each variant's kernel body is modulo-scheduled and
+// scheduling column: each variant's kernel body is modulo-scheduled with
+// the machine's schedule options (unroll 2, as every run schedules it) and
 // the achieved II reported. A kernel that cannot be scheduled no longer
 // fails silently -- the ScheduleError's structured diagnostic (kernel
 // name, best-found II bound, binding conflict) lands in the JSON output.
@@ -19,7 +20,6 @@
 #include "src/core/report.h"
 #include "src/core/run.h"
 #include "src/core/streammd.h"
-#include "src/kernel/opt.h"
 #include "src/kernel/schedule.h"
 #include "src/md/water.h"
 #include "src/sim/config.h"
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
     const smd::kernel::KernelDef def =
         smd::core::build_water_kernel(v, smd::md::spc());
     try {
-      const smd::kernel::Schedule s =
-          smd::kernel::schedule_body(def, smd::kernel::ScheduleOptions{});
+      const smd::kernel::Schedule s = smd::kernel::schedule_body(
+          def, smd::sim::MachineConfig::merrimac().sched);
       smd::obs::Json sched = smd::obs::Json::object();
       sched.set("ii", static_cast<std::int64_t>(s.ii));
       sched.set("unroll", static_cast<std::int64_t>(s.unroll));
@@ -75,23 +75,6 @@ int main(int argc, char** argv) {
       row.set("schedule_error", std::move(err));
       std::printf("  %-12s SCHEDULE FAILED: %s\n",
                   smd::core::variant_name(v), e.what());
-    }
-    // Verified-optimizer delta (kernel/opt.h): scheduled cycles/iteration
-    // before and after the bit-identity-preserving passes. The shipped
-    // kernels are hand-tuned, so the expected delta is ~0; a nonzero
-    // rewrite count here is the optimizer documenting what tuning buys.
-    {
-      smd::kernel::OptReport rep;
-      (void)smd::kernel::optimize_kernel(def, &rep);
-      smd::obs::Json opt = smd::obs::Json::object();
-      opt.set("rewrites", static_cast<std::int64_t>(rep.total_rewrites()));
-      opt.set("cycles_per_iteration_before", rep.cycles_per_iteration_before);
-      opt.set("cycles_per_iteration_after", rep.cycles_per_iteration_after);
-      row.set("optimizer", std::move(opt));
-      std::printf("  %-12s optimizer: %d rewrites, %.1f -> %.1f cycles/iteration\n",
-                  smd::core::variant_name(v), rep.total_rewrites(),
-                  rep.cycles_per_iteration_before,
-                  rep.cycles_per_iteration_after);
     }
     variants.push_back(std::move(row));
   }

@@ -3,7 +3,6 @@
 //
 //   smdcheck [--all] [--molecules N] [--verbose] [--json out.json]
 //   smdcheck --dataflow [--all] [--json out.json]
-//   smdcheck --opt-report [--json out.json]
 //
 // Default mode runs the IR verifier (analysis/verify_ir.h) over every
 // built-in kernel -- the four variant kernels, the expanded+energy kernel,
@@ -17,12 +16,9 @@
 //
 // --dataflow prints the dataflow engine's per-kernel liveness report
 // (exact peak LRF pressure vs. the machine bound and vs. the dynamic
-// replay oracle) and fails if the static and measured pressures disagree
-// or the bound is exceeded. --opt-report runs the verified optimizer over
-// every kernel (plus the deliberately naive expanded kernel) and prints
-// what each pass removed and the scheduled cycles/iteration before and
-// after; it fails if an optimized kernel no longer verifies cleanly or
-// tripped the schedule non-regression guard.
+// replay oracle) over every kernel plus the deliberately naive expanded
+// kernel, and fails if the static and measured pressures disagree or the
+// bound is exceeded.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -37,7 +33,6 @@
 #include "src/core/kernels.h"
 #include "src/core/program.h"
 #include "src/core/run.h"
-#include "src/kernel/opt.h"
 #include "src/md/water.h"
 #include "src/sim/config.h"
 
@@ -48,8 +43,8 @@ using smd::analysis::Severity;
 
 /// Every built-in kernel definition, in catalogue order. `with_naive`
 /// additionally appends the deliberately inefficient expanded kernel
-/// (optimizer demo fodder; not a shipped kernel, so the default verify
-/// pass skips it).
+/// (the dataflow lints' fixture; not a shipped kernel, so the default
+/// verify pass skips it).
 std::vector<smd::kernel::KernelDef> builtin_kernels(bool with_naive) {
   namespace core = smd::core;
   namespace md = smd::md;
@@ -106,44 +101,6 @@ int run_dataflow_report(smd::benchio::JsonOut& json, int lrf_words) {
   return failures;
 }
 
-/// `smdcheck --opt-report`: run the verified optimizer over every kernel
-/// and report what the passes removed. Returns the number of kernels whose
-/// optimized form failed to re-verify or tripped the regression guard.
-int run_opt_report(smd::benchio::JsonOut& json,
-                   const smd::sim::MachineConfig& cfg) {
-  namespace analysis = smd::analysis;
-  namespace kernel = smd::kernel;
-  smd::obs::Json list = smd::obs::Json::array();
-  int failures = 0;
-  analysis::VerifyOptions vopts;
-  vopts.lrf_words = cfg.lrf_words_per_cluster;
-  for (const kernel::KernelDef& def : builtin_kernels(true)) {
-    kernel::OptReport rep;
-    const kernel::KernelDef opt = kernel::optimize_kernel(def, &rep, cfg.sched);
-    const Diagnostics diags = analysis::verify_kernel(opt, vopts);
-    const bool ok = diags.errors() == 0 && !rep.reverted_schedule_regression;
-    if (!ok) ++failures;
-    std::printf("%s%s", rep.str().c_str(),
-                diags.errors() > 0 ? diags.format().c_str() : "");
-    smd::obs::Json j = smd::obs::Json::object();
-    j.set("kernel", rep.kernel);
-    j.set("const_folded", rep.const_folded);
-    j.set("copies_propagated", rep.copies_propagated);
-    j.set("cse_replaced", rep.cse_replaced);
-    j.set("dce_removed", rep.dce_removed);
-    j.set("dead_stream_reads_removed", rep.dead_stream_reads_removed);
-    j.set("dead_streams_removed", rep.dead_streams_removed);
-    j.set("passes", rep.passes);
-    j.set("cycles_per_iteration_before", rep.cycles_per_iteration_before);
-    j.set("cycles_per_iteration_after", rep.cycles_per_iteration_after);
-    j.set("reverted_schedule_regression", rep.reverted_schedule_regression);
-    j.set("reverifies_clean", diags.errors() == 0);
-    list.push_back(std::move(j));
-  }
-  json.root().set("opt_report", std::move(list));
-  return failures;
-}
-
 struct Report {
   smd::obs::Json units = smd::obs::Json::array();
   int errors = 0;
@@ -182,32 +139,26 @@ struct Report {
 int main(int argc, char** argv) {
   using namespace smd;
   static const char* kUsage =
-      "smdcheck [--dataflow] [--opt-report] [--molecules N] [--verbose] "
-      "[--all] [--json out.json]";
+      "smdcheck [--dataflow] [--molecules N] [--verbose] [--all] "
+      "[--json out.json]";
   benchio::check_flags(argc, argv, "smdcheck", kUsage,
                        {"--molecules", "--json"},
-                       {"--dataflow", "--opt-report", "--verbose", "--all"});
+                       {"--dataflow", "--verbose", "--all"});
   benchio::JsonOut json(argc, argv, "smdcheck");
 
   const int n_molecules =
       benchio::molecules_or_exit(argc, argv, "smdcheck", 64, kUsage).front();
   Report report;
   bool dataflow_mode = false;
-  bool opt_report_mode = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--verbose") == 0) report.verbose = true;
     if (std::strcmp(argv[i], "--dataflow") == 0) dataflow_mode = true;
-    if (std::strcmp(argv[i], "--opt-report") == 0) opt_report_mode = true;
   }
 
   const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
 
-  if (dataflow_mode || opt_report_mode) {
-    int failures = 0;
-    if (dataflow_mode) {
-      failures += run_dataflow_report(json, cfg.lrf_words_per_cluster);
-    }
-    if (opt_report_mode) failures += run_opt_report(json, cfg);
+  if (dataflow_mode) {
+    const int failures = run_dataflow_report(json, cfg.lrf_words_per_cluster);
     json.root().set("failures", failures);
     std::printf("smdcheck: %d failures\n", failures);
     return json.finish(failures > 0 ? 1 : 0);
@@ -217,21 +168,7 @@ int main(int argc, char** argv) {
   vopts.lrf_words = cfg.lrf_words_per_cluster;
 
   // ---- Pass 1: IR verifier over every built-in kernel. ---------------------
-  const md::WaterModel model = md::spc();
-  for (core::Variant v : core::kAllVariants) {
-    const kernel::KernelDef def = core::build_water_kernel(v, model);
-    report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
-  }
-  {
-    const kernel::KernelDef def = core::build_expanded_energy_kernel(model);
-    report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
-  }
-  for (const md::WaterModel& m : {md::spc(), md::tip5p(), md::ppc()}) {
-    const kernel::KernelDef def = core::build_multisite_kernel(m);
-    report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
-  }
-  {
-    const kernel::KernelDef def = core::build_blocked_kernel(model, 1.0, 64);
+  for (const kernel::KernelDef& def : builtin_kernels(false)) {
     report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
   }
 

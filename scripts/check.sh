@@ -12,15 +12,13 @@
 # Each preset also runs `smdcheck --all` (the static verifier over every
 # built-in kernel, stream program and blocking scheme — see DESIGN.md
 # "Static checking"), `smdcheck --dataflow --all` (exact liveness
-# pressure vs. the dynamic replay oracle), `smdcheck --opt-report` (every
-# optimized kernel re-verifies and schedules no worse), the optimizer
-# equivalence sweep (bit-identity of optimized kernels, DESIGN.md section
-# 12) and `smdtune --paper --jobs 4` (the parallel design-space search
-# reproducing the paper's tuned points — see EXPERIMENTS.md
-# "Design-space exploration"); the default preset also builds hostbench/
-# and runs each of its workloads for one second. clang-tidy, when
-# available, gates src/analysis and src/kernel (warnings as errors;
-# escape hatch SMD_TIDY_NO_GATE=1) and advises on the rest of src/.
+# pressure vs. the dynamic replay oracle) and `smdtune --paper --jobs 4`
+# (the parallel design-space search reproducing the paper's tuned points
+# — see EXPERIMENTS.md "Design-space exploration"); the default preset
+# builds with -Werror (SMD_WERROR), builds hostbench/ and runs each of its
+# workloads for one second. clang-tidy, when available, gates
+# src/analysis and src/kernel (warnings as errors; escape hatch
+# SMD_TIDY_NO_GATE=1) and advises on the rest of src/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,14 +73,6 @@ for preset in "${presets[@]}"; do
     # so an axis-table divergence is named in the log.
     echo "==== tune axis table (${preset}) ===="
     ctest --preset "${preset}" -R '^tune_test$' --output-on-failure
-    # Optimizer equivalence gate (DESIGN.md section 12): the verified
-    # optimizer's output must be bit-identical to its input -- full
-    # lockstep sweep over the Table-3 variants plus the naive kernel
-    # under both SDR policies, interp-level sweeps, and the randomized
-    # optimize-then-reverify property. A hard gate: optimizer changes do
-    # not land unless this passes under both presets.
-    echo "==== optimizer equivalence sweep (${preset}) ===="
-    ctest --preset "${preset}" -R opt_equivalence_test --output-on-failure
   fi
   if [ "${preset}" = tsan ]; then
     # Every run applies its data effects on a helper thread of its own
@@ -136,10 +126,6 @@ for preset in "${presets[@]}"; do
   "${build_dir[${preset}]}/examples/smdcheck" --all
   echo "==== smdcheck --dataflow --all (${preset}) ===="
   "${build_dir[${preset}]}/examples/smdcheck" --dataflow --all
-  # Optimizer report (DESIGN.md section 12): every optimized built-in
-  # kernel must re-verify cleanly and schedule no worse than its input.
-  echo "==== smdcheck --opt-report (${preset}) ===="
-  "${build_dir[${preset}]}/examples/smdcheck" --opt-report
   echo "==== smdtune --paper --jobs 4 (${preset}) ===="
   "${build_dir[${preset}]}/examples/smdtune" --paper --jobs 4 --molecules 256
   # Run sharing (DESIGN.md section 8): expanded and variable do not read

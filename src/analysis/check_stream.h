@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "src/analysis/diag.h"
+#include "src/sim/config.h"
 #include "src/sim/streamop.h"
 
 namespace smd::analysis {
@@ -57,7 +58,7 @@ struct StreamCheckOptions {
   /// Name used as the diagnostic unit.
   std::string program_name = "stream_program";
   /// SIMD width: plain kernel reads/writes consume one record per cluster.
-  int n_clusters = 16;
+  int n_clusters = sim::MachineConfig{}.n_clusters;
   /// Global-memory extent in words; 0 disables the SP008 range checks.
   std::int64_t memory_words = 0;
   /// Total SRF capacity in words; 0 disables the SP015 capacity check.

@@ -62,6 +62,10 @@ const std::vector<Instr>& section_instrs(const KernelDef& def, Section s) {
   return def.body;
 }
 
+namespace {
+
+/// Bit-exact constant evaluation of a pure instruction given constant
+/// operands; nullopt for stream ops.
 std::optional<double> fold_instr(const Instr& in, double a, double b,
                                  double c) {
   // Every expression below is textually the interpreter's (interp.cpp), so
@@ -102,8 +106,6 @@ std::optional<double> fold_instr(const Instr& in, double a, double b,
   }
   return std::nullopt;
 }
-
-namespace {
 
 std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
 

@@ -27,15 +27,15 @@
 //                         exact peak LRF pressure (max simultaneously-live
 //                         registers over the linearized execution order);
 //   * reaching defs    -- per-point definition sets with unique-reaching-
-//                         definition queries (the copy-propagation oracle);
+//                         definition queries (copy chains; IR020);
 //   * constant lattice -- per-register {const c | non-const} values at
 //                         section entries plus a bit-exact transfer
-//                         function shared with the optimizer's folder;
+//                         function (foldable constants; IR019);
 //   * local value numbering -- per-section redundant-computation records
-//                         (the CSE oracle; IR018).
+//                         (recomputations; IR018).
 //
-// Consumers: verify_ir.cpp (checks IR017-IR024), kernel/opt.cpp (the
-// verified optimizer), and smdcheck --dataflow (per-kernel reports).
+// Consumers: verify_ir.cpp (checks IR017-IR024) and smdcheck --dataflow
+// (per-kernel reports).
 #pragma once
 
 #include <cstdint>
@@ -96,12 +96,6 @@ struct DefSite {
 /// element in the exposed state: registers start as the constant 0.0.)
 using ConstVal = std::optional<double>;
 using ConstEnv = std::vector<ConstVal>;
-
-/// Bit-exact constant evaluation of a pure instruction given constant
-/// operands -- the same double expressions the interpreter executes, so a
-/// folded kernel stays bit-identical. Returns nullopt for stream ops.
-std::optional<double> fold_instr(const kernel::Instr& in, double a, double b,
-                                 double c);
 
 /// Apply one instruction's transfer to a constant environment in place.
 void apply_const_transfer(const kernel::Instr& in, ConstEnv& env);

@@ -57,12 +57,13 @@
 
 #include "src/analysis/diag.h"
 #include "src/kernel/ir.h"
+#include "src/sim/config.h"
 
 namespace smd::analysis {
 
 struct VerifyOptions {
-  /// Per-cluster LRF capacity in words (MachineConfig::lrf_words_per_cluster).
-  int lrf_words = 768;
+  /// Per-cluster LRF capacity in words.
+  int lrf_words = sim::MachineConfig{}.lrf_words_per_cluster;
   /// Emit the IR016 pressure note (off for terse pre-flight use).
   bool report_pressure = true;
   /// Run the dataflow-backed semantic checks IR017-IR024. On for

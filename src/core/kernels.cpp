@@ -173,7 +173,7 @@ kernel::KernelDef build_expanded_kernel(const md::WaterModel& model) {
 
 /// See kernels.h: same math and stream interface as the expanded kernel,
 /// written the way a first draft might be -- every inefficiency here is
-/// one the verified optimizer provably removes.
+/// one a verifier lint reports.
 kernel::KernelDef build_naive_kernel(const md::WaterModel& model) {
   KernelBuilder kb("water_expanded_naive");
   const int s_c = kb.stream_in("c_pos", kPosWords);
@@ -182,13 +182,13 @@ kernel::KernelDef build_naive_kernel(const md::WaterModel& model) {
   const int s_fc = kb.stream_out("f_c", kForceWords);
   const int s_fn = kb.stream_out("f_n", kForceWords);
 
-  // Immediates "computed" at runtime (constant-folding fodder). The
-  // products associate left like emit_consts so the folded values match
-  // the tuned kernel bit-for-bit.
+  // Immediates "computed" at runtime (IR019). The products associate left
+  // like emit_consts so the computed values match the tuned kernel's
+  // constants bit-for-bit.
   kb.section(Section::kPrologue);
   Consts k;
   k.zero = kb.constant(0.0);
-  k.one = kb.constant(1.0);  // never consumed: DCE fodder
+  k.one = kb.constant(1.0);  // never consumed (IR012)
   const Reg two = kb.constant(2.0);
   const Reg three = kb.constant(3.0);
   k.six = kb.mul(two, three);
@@ -220,8 +220,8 @@ kernel::KernelDef build_naive_kernel(const md::WaterModel& model) {
   }
   const PairSums sums = emit_interaction(kb, k, c, n, /*want_neighbor=*/true);
 
-  // Recompute the O-O pair's distance vector and r^2 from scratch (CSE
-  // fodder) and fold them into an r^4 nobody reads (DCE fodder).
+  // Recompute the O-O pair's distance vector and r^2 from scratch (IR018)
+  // and fold them into an r^4 nobody reads (IR012).
   const Reg dx2 = kb.sub(c[0], n[0]);
   const Reg dy2 = kb.sub(c[1], n[1]);
   const Reg dz2 = kb.sub(c[2], n[2]);
@@ -229,8 +229,8 @@ kernel::KernelDef build_naive_kernel(const md::WaterModel& model) {
   const Reg waste = kb.mul(r2b, r2b);
   (void)waste;
 
-  // Pack the force writes through a two-step copy chain (copy-propagation
-  // fodder; the tuned pack9 moves each value once).
+  // Pack the force writes through a two-step copy chain (IR020; the tuned
+  // pack9 moves each value once).
   const auto pack9_chained = [&](const std::array<Reg, 9>& vals) {
     std::array<Reg, 9> tmp;
     for (int i = 0; i < 9; ++i) {

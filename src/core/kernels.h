@@ -39,15 +39,15 @@ kernel::KernelDef build_water_kernel(Variant variant,
 /// expanded kernel body). The paper quotes ~234 with 9 div + 9 sqrt.
 kernel::FlopCensus interaction_flops(const md::WaterModel& model);
 
-/// Deliberately inefficient twin of the expanded kernel, used to exercise
-/// and demonstrate the verified optimizer (kernel/opt.h): it computes the
-/// exact same per-pair forces through the same stream interface
+/// Deliberately inefficient twin of the expanded kernel, the fixture of the
+/// verifier's waste lints (analysis/verify_ir.h): it computes the exact
+/// same per-pair forces through the same stream interface
 /// [c_pos, n_pos, pbc, f_c, f_n], but "computes" its immediates at runtime
-/// (constant-folding fodder), recomputes the first pair's distance vector
-/// (CSE fodder), carries a dead r^4 temporary (DCE fodder) and packs the
-/// force writes through two-step copy chains (copy-propagation fodder).
-/// optimize_kernel reduces it to the expanded kernel's cost; the lockstep
-/// equivalence sweep proves the rewrite is bit-identical.
+/// (IR019), recomputes the first pair's distance vector (IR018), carries a
+/// dead r^4 temporary (IR012) and packs the force writes through two-step
+/// copy chains (IR020). smdcheck --dataflow, kernel_golden_test,
+/// vm_equivalence_test and bench_native_kernels walk it with the shipped
+/// kernels.
 kernel::KernelDef build_expanded_naive_kernel(const md::WaterModel& model);
 
 /// Expanded-style kernel that additionally streams out the Equation-1

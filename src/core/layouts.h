@@ -26,6 +26,7 @@
 #include "src/md/neighborlist.h"
 #include "src/md/system.h"
 #include "src/core/streammd.h"
+#include "src/sim/config.h"
 
 namespace smd::core {
 
@@ -90,14 +91,15 @@ struct VariantLayout {
   std::int64_t memory_words() const;
 };
 
-/// Options shared by the layout builders.
+/// Options shared by the layout builders; the machine fields default to
+/// the Table 1 machine.
 struct LayoutOptions {
-  int n_clusters = 16;
+  int n_clusters = sim::MachineConfig{}.n_clusters;
   int fixed_list_length = kFixedListLength;  ///< L
   /// Strip length in kernel rounds; 0 = pick automatically so that three
   /// strips' buffers fit in srf_words.
   std::int64_t strip_rounds = 0;
-  std::int64_t srf_words = 131072;
+  std::int64_t srf_words = sim::MachineConfig{}.srf_words;
 };
 
 /// Build the layout for a variant from a half neighbor list. Throws

@@ -24,10 +24,9 @@
 //     results, including conditional stream semantics;
 //   * everything else reads it through one operand rule, reg_operands()
 //     below: the verifier (analysis/verify_ir.h, which KernelBuilder::build
-//     runs), the dataflow engine and optimizer (analysis/dataflow.h,
-//     opt.h), and the VLIW scheduler (schedule.h), which builds its
-//     dependence graph from it and derives cycles/iteration, slot
-//     occupancy and issue rate.
+//     runs), the dataflow engine (analysis/dataflow.h), and the VLIW
+//     scheduler (schedule.h), which builds its dependence graph from it
+//     and derives cycles/iteration, slot occupancy and issue rate.
 //
 // Conditional stream accesses (READ_COND/WRITE_COND) model Merrimac's
 // conditional-streams mechanism: every cluster issues the access on every

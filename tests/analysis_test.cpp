@@ -319,6 +319,29 @@ TEST(Dataflow, LiveRangesAndPressureOnAStraightLineBody) {
   EXPECT_EQ(ranges.size(), 3u);
 }
 
+// Exact static pressure == dynamic replay oracle, every built-in kernel
+// (same sweep smdcheck --dataflow gates on).
+TEST(Dataflow, StaticPressureMatchesDynamicReplay) {
+  const md::WaterModel model = md::spc();
+  std::vector<kernel::KernelDef> defs;
+  for (const core::Variant v :
+       {core::Variant::kExpanded, core::Variant::kFixed,
+        core::Variant::kVariable, core::Variant::kDuplicated}) {
+    defs.push_back(core::build_water_kernel(v, model));
+  }
+  defs.push_back(core::build_expanded_energy_kernel(model));
+  for (const md::WaterModel& m : {md::spc(), md::tip5p(), md::ppc()}) {
+    defs.push_back(core::build_multisite_kernel(m));
+  }
+  defs.push_back(core::build_blocked_kernel(model, 1.0, 64));
+  defs.push_back(core::build_expanded_naive_kernel(model));
+  for (const kernel::KernelDef& def : defs) {
+    const analysis::KernelDataflow dfa(def);
+    EXPECT_EQ(dfa.max_live_pressure(), analysis::dynamic_lrf_pressure(def))
+        << def.name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic diagnostics ordering (golden).
 // ---------------------------------------------------------------------------

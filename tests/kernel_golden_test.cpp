@@ -5,7 +5,7 @@
 // schedule or a diagnostic that moves while staying plausible. This suite
 // pins both with FNV-1a digests:
 //   (a) schedules: for every built-in kernel (the ten smdcheck
-//       --opt-report walks), schedule_body at unroll {1, 2} x software
+//       --dataflow walks), schedule_body at unroll {1, 2} x software
 //       pipelining {on, off} -- ii, unroll, depth, FPU slot-cycles, the
 //       bits of fpu_occupancy and issue_rate, every ScheduledOp -- plus
 //       straightline_cycles of the three straight-line sections;
@@ -34,7 +34,7 @@ namespace {
 
 using golden::hex;
 
-/// The kernels smdcheck --opt-report walks, in its order.
+/// The kernels smdcheck --dataflow walks, in its order.
 std::vector<kernel::KernelDef> builtin_kernels() {
   const md::WaterModel model = md::spc();
   std::vector<kernel::KernelDef> defs;

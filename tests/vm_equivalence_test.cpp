@@ -2,8 +2,8 @@
 //
 // The VM backend is only allowed to exist because it is bit-identical to
 // the reference interpreter in every observable way (DESIGN.md section
-// 17, the same discipline section 10 applies to the simulation engines
-// and section 12 to the optimizer). This suite enforces that claim at
+// 17, the same discipline section 10 applies to the simulation
+// engines). This suite enforces that claim at
 // three levels:
 //
 //   * functional -- every built-in kernel runs on randomized inputs under
@@ -121,8 +121,8 @@ TEST(VmEquivalence, BuiltinKernelsBitIdentical) {
   }
 }
 
-/// One full strip-mined simulation of `v`'s layout (the opt_equivalence
-/// helper, parameterized on the kernel backend instead of the kernel).
+/// One full strip-mined simulation of `v`'s layout under `cfg`'s kernel
+/// backend.
 struct SimOut {
   sim::RunStats run;
   mem::GlobalMemory mem;
